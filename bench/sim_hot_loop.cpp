@@ -130,10 +130,9 @@ BENCHMARK(BM_SimHotLoop)->Arg(16)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 // The hierarchical-network hot loop: every isend costs through the
-// devirtualized HierarchicalNetwork installed on the simulator instead
-// of the machine-level model. This is the datapoint guarding the
-// PairCost devirtualization — before it, each send paid two
-// std::function dispatches on the hot path.
+// HierarchicalNetwork installed on the simulator instead of the
+// machine-level model, the datapoint for the pair-network branch on
+// the send path.
 void BM_SimHotLoopHierarchical(benchmark::State& state) {
   const HotLoopEnv& env = hot_loop_env();
   const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kSmall);

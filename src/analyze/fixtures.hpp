@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 #include "core/cost_table.hpp"
 #include "mesh/deck.hpp"
 #include "network/machine.hpp"

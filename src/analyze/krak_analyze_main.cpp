@@ -117,24 +117,22 @@ int run(const util::ArgParser& args) {
   } else if (args.has("partition-store")) {
     const std::string store = args.get_string("partition-store", "");
     if (store == "corrupted") {
-      std::istringstream in(analyze::corrupted_partition_store_text());
-      (void)analyze::lint_partition_store(in, report);
+      report = analyze::lint_partition_store(
+          analyze::corrupted_partition_store_text());
     } else {
       report = analyze::lint_partition_store_file(store);
     }
   } else if (args.has("journal")) {
     const std::string journal = args.get_string("journal", "");
     if (journal == "corrupted") {
-      std::istringstream in(analyze::corrupted_journal_text());
-      (void)analyze::lint_journal(in, report);
+      report = analyze::lint_journal(analyze::corrupted_journal_text());
     } else {
       report = analyze::lint_journal_file(journal);
     }
   } else if (args.has("synthetic")) {
     const std::string synthetic = args.get_string("synthetic", "");
     if (synthetic == "corrupted") {
-      std::istringstream in(analyze::corrupted_synthetic_text());
-      (void)analyze::lint_synthetic(in, report);
+      report = analyze::lint_synthetic(analyze::corrupted_synthetic_text());
     } else {
       report = analyze::lint_synthetic_file(synthetic);
     }

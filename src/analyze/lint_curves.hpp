@@ -3,7 +3,7 @@
 #include <array>
 #include <string_view>
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 #include "core/cost_table.hpp"
 #include "mesh/material.hpp"
 #include "network/msgmodel.hpp"

@@ -1,6 +1,6 @@
 #pragma once
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 #include "mesh/deck.hpp"
 
 namespace krak::analyze {

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <string>
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 #include "fault/plan.hpp"
 
 namespace krak::analyze {

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 #include "network/machine.hpp"
 
 namespace krak::analyze {

@@ -2,7 +2,7 @@
 
 #include <span>
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 #include "mesh/deck.hpp"
 #include "partition/partition.hpp"
 #include "partition/stats.hpp"

@@ -1,41 +1,22 @@
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 
 namespace krak::analyze {
 
-/// A parsed `krakpart 1` partition-store entry (core/partition_store.hpp).
-/// Returned by lint_partition_store so drivers can inspect what the
-/// linter saw; `assignment[cell]` is -1 where no part claimed the cell.
-struct PartitionStoreFile {
-  std::uint64_t fingerprint = 0;
-  std::int64_t pes = 0;
-  std::string method;
-  std::uint64_t seed = 0;
-  std::int64_t cells = 0;
-  std::uint64_t checksum = 0;
-  std::vector<std::int64_t> offsets;
-  std::vector<std::int32_t> assignment;
-};
+/// Lint a `krakpart 1` entry with core::parse_partition_entry, the
+/// parser PartitionStore::load trusts: structure
+/// (rules::kPartitionStoreFormat), CSR offset consistency
+/// (rules::kPartitionStoreOffsets), part labels and exactly-once cell
+/// coverage (rules::kPartitionStoreBounds), and the embedded assignment
+/// checksum (rules::kPartitionStoreChecksum). The linter exists to
+/// explain *why* the store rejected (and evicted) an entry.
+[[nodiscard]] DiagnosticReport lint_partition_store(std::string_view text);
 
-/// Lint a `krakpart 1` entry from `in`, accumulating findings into
-/// `report`: structural problems (rules::kPartitionStoreFormat), CSR
-/// offset consistency (rules::kPartitionStoreOffsets), part labels and
-/// exactly-once cell coverage (rules::kPartitionStoreBounds), and the
-/// embedded assignment checksum (rules::kPartitionStoreChecksum).
-///
-/// These are the same checks PartitionStore::load applies before
-/// trusting a file — the linter exists to explain *why* the store
-/// rejected (and evicted) an entry.
-PartitionStoreFile lint_partition_store(std::istream& in,
-                                        DiagnosticReport& report);
-
-/// Open `path` and lint it; a file that cannot be opened is a
+/// Read `path` and lint it; a file that cannot be opened is a
 /// rules::kPartitionStoreFormat error naming the path and the OS cause.
 [[nodiscard]] DiagnosticReport lint_partition_store_file(
     const std::string& path);

@@ -1,194 +1,29 @@
 #include "analyze/lint_synthetic.hpp"
 
-#include <cmath>
-#include <fstream>
-#include <istream>
-#include <sstream>
-#include <string>
+#include <optional>
 
 #include "analyze/rules.hpp"
-#include "mesh/material.hpp"
+#include "mesh/synthetic.hpp"
 #include "util/error.hpp"
+#include "util/text_format.hpp"
 
 namespace krak::analyze {
 
-namespace {
-
-constexpr std::string_view kMagic = "kraksynth";
-constexpr int kVersion = 1;
-/// Slack on the layer-fraction sum, matching mesh/synthetic.cpp.
-constexpr double kMixTolerance = 1e-6;
-
-std::string line_component(std::size_t line) {
-  return "synthetic/line " + std::to_string(line);
-}
-
-}  // namespace
-
-SyntheticFile lint_synthetic(std::istream& in, DiagnosticReport& report) {
-  SyntheticFile file;
-  file.name = "unnamed";
-
-  bool saw_header = false;
-  bool saw_grid = false;
-  bool saw_end = false;
-  double fraction_sum = 0.0;
-  double det_x = 0.0;
-  double det_y = 0.0;
-  std::size_t det_line = 0;
-
-  std::size_t line_number = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_number;
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key) || key.front() == '#') continue;
-
-    if (!saw_header) {
-      int version = 0;
-      std::istringstream hs(line);
-      std::string magic;
-      if (!(hs >> magic >> version) || magic != kMagic) {
-        report.error(rules::kSyntheticFormat, line_component(line_number),
-                     "expected header '" + std::string(kMagic) + " " +
-                         std::to_string(kVersion) + "', got '" + line + "'");
-        return file;
-      }
-      if (version != kVersion) {
-        report.error(rules::kSyntheticFormat, line_component(line_number),
-                     "unsupported version " + std::to_string(version) +
-                         " (this linter reads version " +
-                         std::to_string(kVersion) + ")");
-        return file;
-      }
-      saw_header = true;
-      continue;
-    }
-    if (saw_end) {
-      report.error(rules::kSyntheticFormat, line_component(line_number),
-                   "content after 'end': '" + line + "'");
-      continue;
-    }
-
-    if (key == "name") {
-      if (!(ls >> file.name)) {
-        report.error(rules::kSyntheticFormat, line_component(line_number),
-                     "'name' needs a value");
-      }
-    } else if (key == "grid") {
-      if (saw_grid) {
-        report.error(rules::kSyntheticFormat, line_component(line_number),
-                     "duplicate 'grid' line");
-        continue;
-      }
-      if (!(ls >> file.nx >> file.ny)) {
-        report.error(rules::kSyntheticFormat, line_component(line_number),
-                     "'grid' needs two integer dimensions, got '" + line +
-                         "'");
-        continue;
-      }
-      saw_grid = true;
-      if (file.nx <= 0 || file.ny <= 0) {
-        report.error(rules::kSyntheticShape, line_component(line_number),
-                     "grid dimensions must be positive, got " +
-                         std::to_string(file.nx) + " x " +
-                         std::to_string(file.ny));
-      }
-    } else if (key == "layer") {
-      std::int64_t index = -1;
-      double fraction = 0.0;
-      if (!(ls >> index >> fraction)) {
-        report.error(rules::kSyntheticFormat, line_component(line_number),
-                     "'layer' needs a material index and a fraction, got '" +
-                         line + "'");
-        continue;
-      }
-      ++file.layers;
-      if (index < 0 ||
-          index >= static_cast<std::int64_t>(mesh::kMaterialCount)) {
-        report.error(rules::kSyntheticMix, line_component(line_number),
-                     "material index " + std::to_string(index) +
-                         " outside [0, " +
-                         std::to_string(mesh::kMaterialCount) + ")");
-      }
-      if (fraction <= 0.0 || fraction > 1.0 || !std::isfinite(fraction)) {
-        report.error(rules::kSyntheticMix, line_component(line_number),
-                     "layer fraction must lie in (0, 1], got " +
-                         std::to_string(fraction));
-      } else {
-        fraction_sum += fraction;
-      }
-    } else if (key == "detonator") {
-      if (file.has_detonator) {
-        report.error(rules::kSyntheticFormat, line_component(line_number),
-                     "duplicate 'detonator' line");
-        continue;
-      }
-      if (!(ls >> det_x >> det_y)) {
-        report.error(rules::kSyntheticFormat, line_component(line_number),
-                     "'detonator' needs two coordinates, got '" + line + "'");
-        continue;
-      }
-      file.has_detonator = true;
-      det_line = line_number;
-    } else if (key == "end") {
-      saw_end = true;
-    } else {
-      report.error(rules::kSyntheticFormat, line_component(line_number),
-                   "unknown key '" + key + "'");
-    }
-  }
-
-  if (!saw_header) {
-    report.error(rules::kSyntheticFormat, "synthetic",
-                 "empty input, missing '" + std::string(kMagic) + " " +
-                     std::to_string(kVersion) + "' header");
-    return file;
-  }
-  if (!saw_end) {
-    report.error(rules::kSyntheticFormat, "synthetic", "missing 'end'");
-  }
-  if (!saw_grid) {
-    report.error(rules::kSyntheticFormat, "synthetic", "missing 'grid'");
-  }
-  if (file.layers == 0) {
-    report.error(rules::kSyntheticFormat, "synthetic",
-                 "missing 'layer' lines");
-  } else if (std::abs(fraction_sum - 1.0) > kMixTolerance) {
-    report.error(rules::kSyntheticMix, "synthetic",
-                 "layer fractions sum to " + std::to_string(fraction_sum) +
-                     ", expected 1");
-  }
-  if (saw_grid && file.nx > 0 &&
-      static_cast<std::size_t>(file.nx) < file.layers) {
-    report.error(rules::kSyntheticMix, "synthetic",
-                 "only " + std::to_string(file.nx) + " column(s) for " +
-                     std::to_string(file.layers) +
-                     " layer(s); every layer needs at least one column");
-  }
-  if (file.has_detonator && saw_grid && file.nx > 0 && file.ny > 0 &&
-      (det_x < 0.0 || det_x > static_cast<double>(file.nx) || det_y < 0.0 ||
-       det_y > static_cast<double>(file.ny))) {
-    std::ostringstream os;
-    os << "detonator (" << det_x << ", " << det_y
-       << ") outside the grid domain [0, " << file.nx << "] x [0, " << file.ny
-       << "]";
-    report.error(rules::kSyntheticShape, line_component(det_line), os.str());
-  }
-  return file;
+DiagnosticReport lint_synthetic(std::string_view text) {
+  DiagnosticReport report;
+  (void)mesh::parse_synthetic(text, report);
+  return report;
 }
 
 DiagnosticReport lint_synthetic_file(const std::string& path) {
-  DiagnosticReport report;
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = util::read_text_file(path);
+  if (!text.has_value()) {
+    DiagnosticReport report;
     report.error(rules::kSyntheticFormat, "synthetic",
                  "cannot open " + path + ": " + util::errno_message());
     return report;
   }
-  (void)lint_synthetic(in, report);
-  return report;
+  return lint_synthetic(*text);
 }
 
 std::string corrupted_synthetic_text() {

@@ -1,41 +1,22 @@
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 
 namespace krak::analyze {
 
-/// Summary of a linted `kraksynth 1` synthetic-deck spec
-/// (mesh/synthetic.hpp). Returned by lint_synthetic so drivers can
-/// report what the linter saw alongside the diagnostics.
-struct SyntheticFile {
-  std::string name;             ///< declared name ("unnamed" if omitted)
-  std::int32_t nx = 0;          ///< grid columns (0 until `grid` parses)
-  std::int32_t ny = 0;          ///< grid rows (0 until `grid` parses)
-  std::size_t layers = 0;       ///< `layer` lines parsed
-  bool has_detonator = false;   ///< an explicit `detonator` line parsed
-};
+/// Lint a `kraksynth 1` synthetic-deck spec with mesh::parse_synthetic,
+/// the parser read_synthetic uses: header and per-line structure
+/// (rules::kSyntheticFormat), the material mix the generator requires
+/// (rules::kSyntheticMix), and grid/detonator geometry
+/// (rules::kSyntheticShape). Where read_synthetic throws on the first
+/// error, the linter names every one so a hand-written spec is fixable
+/// in one pass.
+[[nodiscard]] DiagnosticReport lint_synthetic(std::string_view text);
 
-/// Lint a `kraksynth 1` synthetic-deck spec from `in`: header and
-/// per-line structure (rules::kSyntheticFormat), the material mix the
-/// generator requires — known material indices, fractions in (0, 1]
-/// summing to 1, at least one column per layer
-/// (rules::kSyntheticMix) — and grid/detonator geometry
-/// (rules::kSyntheticShape).
-///
-/// These mirror the checks read_synthetic and make_synthetic_deck
-/// apply, with one deliberate difference: where the loaders throw on
-/// the first violation, the linter names every violation so a human can
-/// fix a hand-written spec in one pass. Blank lines and `#` comments
-/// are skipped (the writer emits neither; annotated fixtures and
-/// hand-edited files do).
-SyntheticFile lint_synthetic(std::istream& in, DiagnosticReport& report);
-
-/// Open `path` and lint it; a file that cannot be opened is a
+/// Read `path` and lint it; a file that cannot be opened is a
 /// rules::kSyntheticFormat error naming the path and the OS cause.
 [[nodiscard]] DiagnosticReport lint_synthetic_file(const std::string& path);
 

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 
 namespace krak::analyze {
 

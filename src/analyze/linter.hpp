@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-#include "analyze/diagnostic.hpp"
+#include "analyze/findings.hpp"
 #include "core/cost_table.hpp"
 #include "mesh/deck.hpp"
 #include "network/machine.hpp"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <fstream>
 #include <optional>
 #include <system_error>
@@ -11,6 +10,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/text_format.hpp"
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -30,39 +30,237 @@ void bump_journal_counter(const char* name, std::int64_t count = 1) {
   obs::global_registry().counter(name).add(count);
 }
 
-std::string hex16(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xf];
-    value >>= 4;
+std::string line_component(std::size_t line) {
+  return "journal/line " + std::to_string(line);
+}
+
+/// The line body (checksum excluded) exactly as serialized.
+std::string record_body(const JournalRecord& record) {
+  using Kind = JournalRecord::Kind;
+  std::string out;
+  switch (record.kind) {
+    case Kind::kRunning:
+      out = "running";
+      break;
+    case Kind::kDone:
+      out = "done";
+      break;
+    case Kind::kFailed:
+      out = "failed";
+      break;
+    case Kind::kQuarantined:
+      out = "quarantined";
+      break;
+  }
+  out += ' ';
+  out += util::hex16(record.fingerprint);
+  out += ' ';
+  out += std::to_string(record.attempt);
+  switch (record.kind) {
+    case Kind::kRunning:
+      break;
+    case Kind::kDone:
+      out += ' ';
+      out += journal_escape(record.point.problem);
+      out += ' ';
+      out += std::to_string(record.point.pes);
+      out += ' ';
+      out += util::hex16(std::bit_cast<std::uint64_t>(record.point.measured));
+      out += ' ';
+      out += util::hex16(std::bit_cast<std::uint64_t>(record.point.predicted));
+      break;
+    case Kind::kFailed:
+      out += record.transient ? " transient " : " deterministic ";
+      out += journal_escape(record.error);
+      break;
+    case Kind::kQuarantined:
+      out += ' ';
+      out += journal_escape(record.error);
+      break;
   }
   return out;
 }
 
-template <typename T>
-bool parse_value(std::string_view token, T& value, int base = 10) {
-  const auto result =
-      std::from_chars(token.data(), token.data() + token.size(), value, base);
-  return result.ec == std::errc{} && result.ptr == token.data() + token.size();
-}
-
-/// Split `line` into whitespace-free tokens (single spaces separate
-/// journal fields; empty fields cannot occur — journal_escape never
-/// produces an empty token).
-std::vector<std::string_view> split_tokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    const std::size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') ++pos;
-    if (pos > start) tokens.push_back(line.substr(start, pos - start));
+/// Parse one record line (checksum included), reporting every
+/// violation; nullopt when there was any.
+std::optional<JournalRecord> parse_record(const util::TextLine& line,
+                                          util::DiagnosticReport& report) {
+  using Kind = JournalRecord::Kind;
+  const auto fail = [&](const char* rule, std::string message) {
+    report.error(rule, line_component(line.number), std::move(message));
+  };
+  const std::vector<std::string_view> tokens = util::split_tokens(line.text);
+  if (tokens.size() < 2) {
+    fail(rules::kJournalFormat,
+         "record needs at least a kind and a checksum, got '" +
+             std::string(line.text) + "'");
+    return std::nullopt;
   }
-  return tokens;
+  std::uint64_t declared = 0;
+  if (!util::parse_hex16(tokens.back(), declared)) {
+    fail(rules::kJournalFormat,
+         "last token must be the 16-hex-digit checksum, got '" +
+             std::string(tokens.back()) + "'");
+    return std::nullopt;
+  }
+  const std::uint64_t actual =
+      journal_checksum(line.text.substr(0, line.text.rfind(' ')));
+  if (actual != declared) {
+    fail(rules::kJournalChecksum,
+         "declared checksum " + std::string(tokens.back()) +
+             " does not match record checksum " + util::hex16(actual) +
+             "; recovery truncates the journal here");
+    return std::nullopt;  // the fields below the seal cannot be trusted
+  }
+
+  JournalRecord record;
+  record.line = line.number;
+  std::size_t expected = 0;
+  if (tokens[0] == "running") {
+    record.kind = Kind::kRunning;
+    expected = 4;
+  } else if (tokens[0] == "done") {
+    record.kind = Kind::kDone;
+    expected = 8;
+  } else if (tokens[0] == "failed") {
+    record.kind = Kind::kFailed;
+    expected = 6;
+  } else if (tokens[0] == "quarantined") {
+    record.kind = Kind::kQuarantined;
+    expected = 5;
+  } else {
+    fail(rules::kJournalFormat,
+         "unknown record kind '" + std::string(tokens[0]) + "'");
+    return std::nullopt;
+  }
+  if (tokens.size() != expected) {
+    fail(rules::kJournalFormat,
+         "'" + std::string(tokens[0]) + "' record needs " +
+             std::to_string(expected) + " token(s), got " +
+             std::to_string(tokens.size()));
+    return std::nullopt;
+  }
+  if (!util::parse_hex16(tokens[1], record.fingerprint)) {
+    fail(rules::kJournalFormat, "fingerprint must be 16 hex digits, got '" +
+                                    std::string(tokens[1]) + "'");
+    return std::nullopt;
+  }
+  if (!util::parse_number(tokens[2], record.attempt) || record.attempt == 0) {
+    fail(rules::kJournalFormat, "attempt must be a positive integer, got '" +
+                                    std::string(tokens[2]) + "'");
+    return std::nullopt;
+  }
+  bool ok = true;
+  const auto unescape = [&](std::string_view token, const char* what,
+                            std::string& out) {
+    std::optional<std::string> text = journal_unescape(token);
+    if (!text.has_value()) {
+      fail(rules::kJournalFormat,
+           std::string("malformed percent-escaping in ") + what +
+               " token '" + std::string(token) + "'");
+      ok = false;
+      return;
+    }
+    out = std::move(*text);
+  };
+  switch (record.kind) {
+    case Kind::kRunning:
+      break;
+    case Kind::kDone: {
+      unescape(tokens[3], "problem", record.point.problem);
+      if (!util::parse_number(tokens[4], record.point.pes) ||
+          record.point.pes <= 0) {
+        fail(rules::kJournalFormat, "pes must be a positive integer, got '" +
+                                        std::string(tokens[4]) + "'");
+        ok = false;
+      }
+      double* const values[] = {&record.point.measured,
+                                &record.point.predicted};
+      for (std::size_t i = 0; i < 2; ++i) {
+        std::uint64_t bits = 0;
+        if (!util::parse_hex16(tokens[5 + i], bits)) {
+          fail(rules::kJournalFormat,
+               "measured/predicted must be 16-hex IEEE-754 bit patterns, "
+               "got '" +
+                   std::string(tokens[5 + i]) + "'");
+          ok = false;
+        }
+        *values[i] = std::bit_cast<double>(bits);
+      }
+      break;
+    }
+    case Kind::kFailed:
+      if (tokens[3] == "transient" || tokens[3] == "deterministic") {
+        record.transient = tokens[3] == "transient";
+      } else {
+        fail(rules::kJournalFormat,
+             "failure class must be 'transient' or 'deterministic', got '" +
+                 std::string(tokens[3]) + "'");
+        ok = false;
+      }
+      unescape(tokens[4], "error", record.error);
+      break;
+    case Kind::kQuarantined:
+      unescape(tokens[3], "error", record.error);
+      break;
+  }
+  if (!ok) return std::nullopt;
+  return record;
 }
 
 }  // namespace
+
+ParsedJournal parse_journal(std::string_view text,
+                            util::DiagnosticReport& report) {
+  ParsedJournal parsed;
+  bool cut = false;
+  // Recovery keeps everything before the first invalid or torn line.
+  const auto cut_at = [&](const util::TextLine& line) {
+    if (cut) return;
+    cut = true;
+    parsed.kept_records = parsed.records.size();
+    parsed.kept_bytes = line.offset;
+  };
+  util::LineReader reader(text);
+  util::TextLine line;
+  while (reader.next(line)) {
+    if (!line.terminated) {
+      report.warning(rules::kJournalTornTail, line_component(line.number),
+                     "trailing partial record without a newline (" +
+                         std::to_string(line.text.size()) +
+                         " byte(s)): a torn append that recovery truncates");
+      cut_at(line);
+      break;
+    }
+    if (util::is_blank_or_comment(line.text)) continue;
+    if (!parsed.has_header) {
+      if (line.text != kMagic) {
+        report.error(rules::kJournalFormat, line_component(line.number),
+                     "expected header '" + std::string(kMagic) + "', got '" +
+                         std::string(line.text) + "'");
+        return parsed;
+      }
+      parsed.has_header = true;
+      continue;
+    }
+    std::optional<JournalRecord> record = parse_record(line, report);
+    if (!record.has_value()) {
+      cut_at(line);
+      continue;
+    }
+    parsed.records.push_back(std::move(*record));
+  }
+  if (!parsed.has_header) {
+    report.error(rules::kJournalFormat, "journal",
+                 "empty input, missing '" + std::string(kMagic) + "' header");
+    return parsed;
+  }
+  if (!cut) {
+    parsed.kept_records = parsed.records.size();
+    parsed.kept_bytes = text.size();
+  }
+  return parsed;
+}
 
 std::uint64_t journal_checksum(std::string_view text) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -102,193 +300,42 @@ std::optional<std::string> journal_unescape(std::string_view token) {
     }
     if (i + 2 >= token.size()) return std::nullopt;
     std::uint32_t byte = 0;
-    if (!parse_value(token.substr(i + 1, 2), byte, 16)) return std::nullopt;
+    if (!util::parse_number(token.substr(i + 1, 2), byte, 16)) {
+      return std::nullopt;
+    }
     out += static_cast<char>(byte);
     i += 2;
   }
   return out;
 }
 
-struct CampaignJournal::Record {
-  enum class Kind { kRunning, kDone, kFailed, kQuarantined };
-
-  Kind kind = Kind::kRunning;
-  std::uint64_t fingerprint = 0;
-  std::uint32_t attempt = 0;
-  bool transient = false;  ///< failed records: the failure class
-  std::string error;       ///< failed / quarantined records
-  ValidationPoint point;   ///< done records
-
-  /// The line body (checksum excluded) exactly as serialized.
-  [[nodiscard]] std::string body() const {
-    std::string out;
-    switch (kind) {
-      case Kind::kRunning:
-        out = "running";
-        break;
-      case Kind::kDone:
-        out = "done";
-        break;
-      case Kind::kFailed:
-        out = "failed";
-        break;
-      case Kind::kQuarantined:
-        out = "quarantined";
-        break;
-    }
-    out += ' ';
-    out += hex16(fingerprint);
-    out += ' ';
-    out += std::to_string(attempt);
-    switch (kind) {
-      case Kind::kRunning:
-        break;
-      case Kind::kDone:
-        out += ' ';
-        out += journal_escape(point.problem);
-        out += ' ';
-        out += std::to_string(point.pes);
-        out += ' ';
-        out += hex16(std::bit_cast<std::uint64_t>(point.measured));
-        out += ' ';
-        out += hex16(std::bit_cast<std::uint64_t>(point.predicted));
-        break;
-      case Kind::kFailed:
-        out += transient ? " transient " : " deterministic ";
-        out += journal_escape(error);
-        break;
-      case Kind::kQuarantined:
-        out += ' ';
-        out += journal_escape(error);
-        break;
-    }
-    return out;
-  }
-
-  /// Parse one full line (checksum included); nullopt on any violation.
-  static std::optional<Record> parse(std::string_view line) {
-    const std::vector<std::string_view> tokens = split_tokens(line);
-    if (tokens.size() < 4) return std::nullopt;
-    std::uint64_t checksum = 0;
-    if (!parse_value(tokens.back(), checksum, 16) ||
-        tokens.back().size() != 16) {
-      return std::nullopt;
-    }
-    const std::size_t body_end = line.rfind(' ');
-    if (body_end == std::string_view::npos) return std::nullopt;
-    if (journal_checksum(line.substr(0, body_end)) != checksum) {
-      return std::nullopt;
-    }
-
-    Record record;
-    std::size_t expected = 0;
-    if (tokens[0] == "running") {
-      record.kind = Kind::kRunning;
-      expected = 4;
-    } else if (tokens[0] == "done") {
-      record.kind = Kind::kDone;
-      expected = 8;
-    } else if (tokens[0] == "failed") {
-      record.kind = Kind::kFailed;
-      expected = 6;
-    } else if (tokens[0] == "quarantined") {
-      record.kind = Kind::kQuarantined;
-      expected = 5;
-    } else {
-      return std::nullopt;
-    }
-    if (tokens.size() != expected) return std::nullopt;
-    if (!parse_value(tokens[1], record.fingerprint, 16) ||
-        tokens[1].size() != 16) {
-      return std::nullopt;
-    }
-    if (!parse_value(tokens[2], record.attempt) || record.attempt == 0) {
-      return std::nullopt;
-    }
-    switch (record.kind) {
-      case Kind::kRunning:
-        break;
-      case Kind::kDone: {
-        const std::optional<std::string> problem = journal_unescape(tokens[3]);
-        if (!problem.has_value()) return std::nullopt;
-        record.point.problem = *problem;
-        if (!parse_value(tokens[4], record.point.pes) ||
-            record.point.pes <= 0) {
-          return std::nullopt;
-        }
-        std::uint64_t bits = 0;
-        if (!parse_value(tokens[5], bits, 16)) return std::nullopt;
-        record.point.measured = std::bit_cast<double>(bits);
-        if (!parse_value(tokens[6], bits, 16)) return std::nullopt;
-        record.point.predicted = std::bit_cast<double>(bits);
-        break;
-      }
-      case Kind::kFailed: {
-        if (tokens[3] == "transient") {
-          record.transient = true;
-        } else if (tokens[3] == "deterministic") {
-          record.transient = false;
-        } else {
-          return std::nullopt;
-        }
-        const std::optional<std::string> error = journal_unescape(tokens[4]);
-        if (!error.has_value()) return std::nullopt;
-        record.error = *error;
-        break;
-      }
-      case Kind::kQuarantined: {
-        const std::optional<std::string> error = journal_unescape(tokens[3]);
-        if (!error.has_value()) return std::nullopt;
-        record.error = *error;
-        break;
-      }
-    }
-    return record;
-  }
-};
-
 CampaignJournal::CampaignJournal(std::filesystem::path path)
     : path_(std::move(path)) {
   const std::filesystem::path parent = path_.parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
 
-  std::string text;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in) {
-      in.seekg(0, std::ios::end);
-      text.resize(static_cast<std::size_t>(in.tellg()));
-      in.seekg(0);
-      in.read(text.data(), static_cast<std::streamsize>(text.size()));
-    }
-  }
+  const std::string text = util::read_text_file(path_).value_or("");
 
   const bool fresh = text.empty();
   if (!fresh) {
+    util::DiagnosticReport report;
+    const ParsedJournal parsed = parse_journal(text, report);
     // An existing file must lead with the magic line: truncating an
     // arbitrary file the user mistyped into a journal would destroy it.
-    const std::size_t eol = text.find('\n');
-    if (eol == std::string::npos || text.substr(0, eol) != kMagic) {
+    if (!parsed.has_header) {
       throw util::KrakError("not a krakjournal 1 file: " + path_.string());
     }
     // Replay records until the first invalid line, then truncate there:
     // a torn append (crash mid-write) costs exactly the torn record.
-    std::size_t pos = eol + 1;
-    while (pos < text.size()) {
-      const std::size_t line_end = text.find('\n', pos);
-      if (line_end == std::string::npos) break;  // partial line: torn
-      const std::optional<Record> record =
-          Record::parse(std::string_view(text).substr(pos, line_end - pos));
-      if (!record.has_value()) break;
-      apply(*record);
-      ++recovery_.records;
-      pos = line_end + 1;
+    for (std::size_t i = 0; i < parsed.kept_records; ++i) {
+      apply(parsed.records[i]);
     }
-    if (pos < text.size()) {
+    recovery_.records = parsed.kept_records;
+    if (parsed.kept_bytes < text.size()) {
       recovery_.torn_tail = true;
-      recovery_.dropped_bytes = text.size() - pos;
+      recovery_.dropped_bytes = text.size() - parsed.kept_bytes;
       std::error_code ec;
-      std::filesystem::resize_file(path_, pos, ec);
+      std::filesystem::resize_file(path_, parsed.kept_bytes, ec);
       if (ec) {
         throw util::KrakError("cannot truncate torn journal tail of " +
                               path_.string() + ": " + ec.message());
@@ -359,10 +406,10 @@ void CampaignJournal::write_raw(std::string_view data) {
 #endif
 }
 
-void CampaignJournal::append(const Record& record) {
-  std::string line = record.body();
+void CampaignJournal::append(const JournalRecord& record) {
+  std::string line = record_body(record);
   line += ' ';
-  line += hex16(journal_checksum(line.substr(0, line.size() - 1)));
+  line += util::hex16(journal_checksum(line.substr(0, line.size() - 1)));
   line += '\n';
   const std::lock_guard<std::mutex> lock(mutex_);
   write_raw(line);
@@ -370,19 +417,19 @@ void CampaignJournal::append(const Record& record) {
   bump_journal_counter("journal.appends");
 }
 
-void CampaignJournal::apply(const Record& record) {
+void CampaignJournal::apply(const JournalRecord& record) {
   History& history = histories_[record.fingerprint];
   history.attempts = std::max(history.attempts, record.attempt);
   switch (record.kind) {
-    case Record::Kind::kRunning:
+    case JournalRecord::Kind::kRunning:
       history.interrupted = true;  // cleared by the attempt's outcome
       break;
-    case Record::Kind::kDone:
+    case JournalRecord::Kind::kDone:
       history.interrupted = false;
       history.done = true;
       history.point = record.point;
       break;
-    case Record::Kind::kFailed:
+    case JournalRecord::Kind::kFailed:
       history.interrupted = false;
       if (record.transient) {
         ++history.transient_failures;
@@ -392,7 +439,7 @@ void CampaignJournal::apply(const Record& record) {
       history.last_error = record.error;
       history.last_transient = record.transient;
       break;
-    case Record::Kind::kQuarantined:
+    case JournalRecord::Kind::kQuarantined:
       history.interrupted = false;
       history.quarantined = true;
       if (!record.error.empty()) history.last_error = record.error;
@@ -402,8 +449,8 @@ void CampaignJournal::apply(const Record& record) {
 
 void CampaignJournal::record_running(std::uint64_t fingerprint,
                                      std::uint32_t attempt) {
-  Record record;
-  record.kind = Record::Kind::kRunning;
+  JournalRecord record;
+  record.kind = JournalRecord::Kind::kRunning;
   record.fingerprint = fingerprint;
   record.attempt = attempt;
   append(record);
@@ -412,8 +459,8 @@ void CampaignJournal::record_running(std::uint64_t fingerprint,
 void CampaignJournal::record_done(std::uint64_t fingerprint,
                                   std::uint32_t attempt,
                                   const ValidationPoint& point) {
-  Record record;
-  record.kind = Record::Kind::kDone;
+  JournalRecord record;
+  record.kind = JournalRecord::Kind::kDone;
   record.fingerprint = fingerprint;
   record.attempt = attempt;
   record.point = point;
@@ -423,8 +470,8 @@ void CampaignJournal::record_done(std::uint64_t fingerprint,
 void CampaignJournal::record_failed(std::uint64_t fingerprint,
                                     std::uint32_t attempt, bool transient,
                                     std::string_view error) {
-  Record record;
-  record.kind = Record::Kind::kFailed;
+  JournalRecord record;
+  record.kind = JournalRecord::Kind::kFailed;
   record.fingerprint = fingerprint;
   record.attempt = attempt;
   record.transient = transient;
@@ -435,8 +482,8 @@ void CampaignJournal::record_failed(std::uint64_t fingerprint,
 void CampaignJournal::record_quarantined(std::uint64_t fingerprint,
                                          std::uint32_t attempt,
                                          std::string_view error) {
-  Record record;
-  record.kind = Record::Kind::kQuarantined;
+  JournalRecord record;
+  record.kind = JournalRecord::Kind::kQuarantined;
   record.fingerprint = fingerprint;
   record.attempt = attempt;
   record.error = std::string(error);

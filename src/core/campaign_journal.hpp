@@ -7,10 +7,65 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/validation.hpp"
+#include "util/diagnostic.hpp"
 
 namespace krak::core {
+
+namespace rules {
+
+/// Rule ids of the `krakjournal 1` parser; docs/ANALYSIS.md documents
+/// them and analyze/rules.hpp re-exports them.
+///
+/// Structural validity of a journal record: magic/version header, known
+/// record kind, token counts, 16-hex fingerprints, positive attempt
+/// numbers, positive pes, well-formed percent-escaping.
+inline constexpr const char* kJournalFormat = "journal-format";
+/// Every record's trailing checksum must equal FNV-1a over the line
+/// body before it — the per-record seal recovery verifies before
+/// replaying a scenario's state.
+inline constexpr const char* kJournalChecksum = "journal-checksum";
+/// A trailing partial line with no newline is a torn append (crash
+/// mid-write); recovery truncates it, losing exactly that record.
+inline constexpr const char* kJournalTornTail = "journal-torn-tail";
+
+}  // namespace rules
+
+/// One `krakjournal 1` record: a scenario state change.
+struct JournalRecord {
+  enum class Kind { kRunning, kDone, kFailed, kQuarantined };
+
+  Kind kind = Kind::kRunning;
+  std::uint64_t fingerprint = 0;
+  std::uint32_t attempt = 0;
+  bool transient = false;  ///< failed records: the failure class
+  std::string error;       ///< failed / quarantined records
+  ValidationPoint point;   ///< done records
+  std::size_t line = 0;    ///< source line when parsed (0 when built)
+};
+
+/// What parse_journal found in a journal's text.
+struct ParsedJournal {
+  bool has_header = false;  ///< the first content line is the magic
+  /// Every valid record in file order, including any after an invalid
+  /// line (the linter checks their order; recovery never sees them).
+  std::vector<JournalRecord> records;
+  /// The recovery cut: the records and bytes before the first invalid
+  /// or torn line (all of them when there is none).
+  std::size_t kept_records = 0;
+  std::size_t kept_bytes = 0;
+};
+
+/// The one `krakjournal 1` parser, shared by CampaignJournal recovery
+/// and `krak_analyze --journal`. Blank and `#` lines are skipped
+/// everywhere. Every violation lands in `report` with its line:
+/// rules::kJournalFormat and rules::kJournalChecksum as errors,
+/// rules::kJournalTornTail as a warning (recovery truncates it
+/// cleanly). A missing or wrong header stops the parse.
+[[nodiscard]] ParsedJournal parse_journal(std::string_view text,
+                                          util::DiagnosticReport& report);
 
 /// Versioned write-ahead journal of a validation campaign
 /// (docs/RESILIENCE.md, "Resumable campaigns").
@@ -34,8 +89,10 @@ namespace krak::core {
 /// `<error>` and `<problem>` are percent-escaped single tokens;
 /// `<checksum>` is FNV-1a over everything before it on the line.
 ///
-/// Loading replays every valid record into per-scenario histories and
-/// truncates the file at the first invalid line (torn-tail recovery): a
+/// Blank lines and `#` comments may appear anywhere; the writer emits
+/// neither. Loading (parse_journal) replays every valid record into
+/// per-scenario histories and truncates the file at the first invalid
+/// line (torn-tail recovery): a
 /// crash mid-append — SIGKILL, power loss, full disk — costs at most
 /// the record being written, never the journal. Appends go through one
 /// O_APPEND write plus fsync per record, so the write-ahead contract
@@ -104,11 +161,9 @@ class CampaignJournal {
   [[nodiscard]] History history(std::uint64_t fingerprint) const;
 
  private:
-  struct Record;
-
   void write_raw(std::string_view data);
-  void append(const Record& record);
-  void apply(const Record& record);
+  void append(const JournalRecord& record);
+  void apply(const JournalRecord& record);
 
   std::filesystem::path path_;
   Recovery recovery_;

@@ -1,7 +1,6 @@
 #include "core/partition_store.hpp"
 
 #include <charconv>
-#include <fstream>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
+#include "util/text_format.hpp"
 
 namespace krak::core {
 
@@ -20,130 +20,287 @@ void bump_store_counter(const char* name) {
   obs::global_registry().counter(name).add();
 }
 
-std::string hex16(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
-
-/// Whitespace tokenizer over the whole file. Entry files hold millions
-/// of integers, so parsing goes through from_chars over one buffer
-/// instead of iostream extraction — the difference is what makes a warm
-/// store load cheap relative to repartitioning.
-class Tokenizer {
- public:
-  explicit Tokenizer(const std::string& text) : text_(text) {}
-
-  bool next(std::string_view& token) {
-    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
-    if (pos_ >= text_.size()) return false;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && !is_space(text_[pos_])) ++pos_;
-    token = std::string_view(text_).substr(start, pos_ - start);
-    return true;
-  }
-
-  template <typename T>
-  bool next_value(T& value, int base = 10) {
-    std::string_view token;
-    if (!next(token)) return false;
-    const auto result =
-        std::from_chars(token.data(), token.data() + token.size(), value, base);
-    return result.ec == std::errc{} &&
-           result.ptr == token.data() + token.size();
-  }
-
- private:
-  static bool is_space(char c) {
-    return c == ' ' || c == '\n' || c == '\r' || c == '\t';
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
 void append_value(std::string& out, std::uint64_t value) {
   char buffer[24];
   const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
   out.append(buffer, result.ptr);
 }
 
-/// Parse and fully validate an entry file against `key`; nullopt on any
-/// violation. Validation mirrors `krak_analyze --partition-store`
-/// (src/analyze/lint_partition_store.cpp) minus the diagnostics.
-std::optional<partition::Partition> parse_entry(const std::string& text,
-                                                const PartitionStore::Key& key) {
-  Tokenizer tok(text);
-  std::string_view word;
-  if (!tok.next(word) || word != "krakpart") return std::nullopt;
-  std::uint64_t version = 0;
-  if (!tok.next_value(version) || version != 1) return std::nullopt;
+std::string line_component(std::size_t line) {
+  return "store/line " + std::to_string(line);
+}
 
-  std::uint64_t fingerprint = 0;
-  if (!tok.next(word) || word != "fingerprint") return std::nullopt;
-  if (!tok.next_value(fingerprint, 16)) return std::nullopt;
-  std::int64_t pes = 0;
-  if (!tok.next(word) || word != "pes") return std::nullopt;
-  if (!tok.next_value(pes) || pes <= 0) return std::nullopt;
-  if (!tok.next(word) || word != "method") return std::nullopt;
-  std::string_view method_name;
-  if (!tok.next(method_name)) return std::nullopt;
-  std::uint64_t seed = 0;
-  if (!tok.next(word) || word != "seed") return std::nullopt;
-  if (!tok.next_value(seed)) return std::nullopt;
-  std::int64_t cells = 0;
-  if (!tok.next(word) || word != "cells") return std::nullopt;
-  if (!tok.next_value(cells) || cells <= 0) return std::nullopt;
-  std::uint64_t checksum = 0;
-  if (!tok.next(word) || word != "checksum") return std::nullopt;
-  if (!tok.next_value(checksum, 16)) return std::nullopt;
-
-  if (fingerprint != key.fingerprint || pes != key.pes || seed != key.seed ||
-      method_name != partition::partition_method_name(key.method)) {
-    return std::nullopt;
+bool known_method(std::string_view name) {
+  using partition::PartitionMethod;
+  for (const PartitionMethod method :
+       {PartitionMethod::kStrip, PartitionMethod::kRcb,
+        PartitionMethod::kMultilevel, PartitionMethod::kMaterialAware}) {
+    if (partition::partition_method_name(method) == name) return true;
   }
-
-  if (!tok.next(word) || word != "offsets") return std::nullopt;
-  std::vector<std::int64_t> offsets(static_cast<std::size_t>(pes) + 1);
-  for (std::int64_t& offset : offsets) {
-    if (!tok.next_value(offset)) return std::nullopt;
-  }
-  if (offsets.front() != 0 || offsets.back() != cells) return std::nullopt;
-  for (std::size_t p = 0; p + 1 < offsets.size(); ++p) {
-    if (offsets[p] > offsets[p + 1]) return std::nullopt;
-  }
-
-  std::vector<partition::PeId> assignment(static_cast<std::size_t>(cells), -1);
-  std::int64_t assigned = 0;
-  for (std::int64_t p = 0; p < pes; ++p) {
-    std::int64_t label = -1;
-    if (!tok.next(word) || word != "part") return std::nullopt;
-    if (!tok.next_value(label) || label != p) return std::nullopt;
-    const std::int64_t count = offsets[static_cast<std::size_t>(p) + 1] -
-                               offsets[static_cast<std::size_t>(p)];
-    for (std::int64_t k = 0; k < count; ++k) {
-      std::int64_t cell = -1;
-      if (!tok.next_value(cell)) return std::nullopt;
-      if (cell < 0 || cell >= cells) return std::nullopt;
-      if (assignment[static_cast<std::size_t>(cell)] != -1) return std::nullopt;
-      assignment[static_cast<std::size_t>(cell)] =
-          static_cast<partition::PeId>(p);
-      ++assigned;
-    }
-  }
-  if (!tok.next(word) || word != "end") return std::nullopt;
-  if (tok.next(word)) return std::nullopt;  // trailing garbage
-  if (assigned != cells) return std::nullopt;
-  if (partition_checksum(assignment) != checksum) return std::nullopt;
-  return partition::Partition(static_cast<std::int32_t>(pes),
-                              std::move(assignment));
+  return false;
 }
 
 }  // namespace
+
+PartitionEntry parse_partition_entry(std::string_view text,
+                                     util::DiagnosticReport& report) {
+  using namespace rules;
+  PartitionEntry entry;
+  util::LineReader reader(text);
+  util::TextLine line;
+  const auto next_content_line = [&] {
+    while (reader.next(line)) {
+      if (!util::is_blank_or_comment(line.text)) return true;
+    }
+    return false;
+  };
+  // Diagnostic text is built only here, on a violation: a clean entry
+  // costs the token scan and nothing else.
+  const auto error = [&](const char* rule, const std::string& message) {
+    report.error(rule, line_component(line.number), message);
+  };
+  const auto file_error = [&](const char* rule, const std::string& message) {
+    report.error(rule, "store", message);
+  };
+
+  if (!next_content_line()) {
+    file_error(kPartitionStoreFormat, "empty input, missing header");
+    return entry;
+  }
+  {
+    util::Tokens tokens(line.text);
+    std::string_view magic;
+    std::string_view version;
+    std::string_view extra;
+    if (!tokens.next(magic) || magic != "krakpart" || !tokens.next(version) ||
+        version != "1" || tokens.next(extra)) {
+      error(kPartitionStoreFormat, "expected header 'krakpart 1', got '" +
+                                       std::string(line.text) + "'");
+      return entry;
+    }
+  }
+
+  // Fixed header fields, in the order the store writes them, each
+  // `<key> <value>` alone on its line. A missing or malformed field
+  // aborts: everything after depends on pes and cells.
+  const auto header = [&](std::string_view key, std::string_view shape,
+                          const auto& parse) {
+    if (!next_content_line()) {
+      file_error(kPartitionStoreFormat,
+                 "truncated header, missing '" + std::string(key) + "'");
+      return false;
+    }
+    util::Tokens tokens(line.text);
+    std::string_view word;
+    std::string_view value;
+    std::string_view extra;
+    if (tokens.next(word) && word == key && tokens.next(value) &&
+        !tokens.next(extra) && parse(value)) {
+      return true;
+    }
+    error(kPartitionStoreFormat, "expected '" + std::string(key) + " " +
+                                     std::string(shape) + "', got '" +
+                                     std::string(line.text) + "'");
+    return false;
+  };
+  const auto hex = [](std::uint64_t& target) {
+    return [&target](std::string_view v) {
+      return util::parse_hex16(v, target);
+    };
+  };
+  const bool header_ok =
+      header("fingerprint", "<16 hex digits>", hex(entry.fingerprint)) &&
+      header("pes", "<positive integer>",
+             [&](std::string_view v) {
+               return util::parse_number(v, entry.pes) && entry.pes > 0;
+             }) &&
+      header("method", "<name>",
+             [&](std::string_view v) {
+               entry.method = v;
+               if (!known_method(v)) {
+                 error(kPartitionStoreFormat,
+                       "unknown partition method '" + entry.method + "'");
+               }
+               return true;
+             }) &&
+      header("seed", "<integer>",
+             [&](std::string_view v) {
+               return util::parse_number(v, entry.seed);
+             }) &&
+      header("cells", "<positive integer>",
+             [&](std::string_view v) {
+               return util::parse_number(v, entry.cells) && entry.cells > 0;
+             }) &&
+      header("checksum", "<16 hex digits>", hex(entry.checksum));
+  if (!header_ok) return entry;
+  // Every offset, part label and cell id takes at least two bytes, so
+  // a count the file is too short to list is corrupt — and must not
+  // size an allocation.
+  const std::uint64_t listable = text.size() / 2;
+  if (static_cast<std::uint64_t>(entry.pes) > listable ||
+      static_cast<std::uint64_t>(entry.cells) > listable) {
+    file_error(kPartitionStoreFormat,
+               "pes " + std::to_string(entry.pes) + " and cells " +
+                   std::to_string(entry.cells) + " cannot fit in " +
+                   std::to_string(text.size()) + " bytes");
+    return entry;
+  }
+  const auto pes = static_cast<std::size_t>(entry.pes);
+
+  // Offsets line: pes + 1 monotone values from 0 to cells.
+  if (!next_content_line()) {
+    file_error(kPartitionStoreFormat, "truncated file, missing 'offsets'");
+    return entry;
+  }
+  std::vector<std::int64_t> offsets;
+  bool offsets_usable = false;
+  {
+    util::Tokens tokens(line.text);
+    std::string_view word;
+    if (!tokens.next(word) || word != "offsets") {
+      error(kPartitionStoreFormat, "expected 'offsets <" +
+                                       std::to_string(pes + 1) +
+                                       " values>', got '" +
+                                       std::string(line.text) + "'");
+    } else {
+      offsets.reserve(pes + 1);
+      std::int64_t value = 0;
+      while (tokens.next_number(value)) offsets.push_back(value);
+      if (tokens.next(word)) {
+        error(kPartitionStoreFormat,
+              "malformed offset '" + std::string(word) + "'");
+      } else if (offsets.size() != pes + 1) {
+        error(kPartitionStoreOffsets,
+              "expected " + std::to_string(pes + 1) + " offsets, got " +
+                  std::to_string(offsets.size()));
+      } else {
+        offsets_usable = true;
+        if (offsets.front() != 0) {
+          error(kPartitionStoreOffsets, "offsets must start at 0, got " +
+                                            std::to_string(offsets.front()));
+        }
+        if (offsets.back() != entry.cells) {
+          error(kPartitionStoreOffsets,
+                "offsets must end at the cell count " +
+                    std::to_string(entry.cells) + ", got " +
+                    std::to_string(offsets.back()));
+        }
+        for (std::size_t p = 0; p < pes; ++p) {
+          if (offsets[p] > offsets[p + 1]) {
+            error(kPartitionStoreOffsets,
+                  "offsets not monotone: offsets[" + std::to_string(p) +
+                      "]=" + std::to_string(offsets[p]) + " > offsets[" +
+                      std::to_string(p + 1) +
+                      "]=" + std::to_string(offsets[p + 1]));
+            break;
+          }
+        }
+      }
+    }
+  }
+
+  // Part lines: "part <p> <cells...>", labels in sequence, each cell
+  // owned exactly once. Each line carries its own cell list, so parsing
+  // never depends on (possibly corrupt) offsets; offsets are
+  // cross-checked against the per-line counts instead.
+  entry.assignment.assign(static_cast<std::size_t>(entry.cells), -1);
+  partition::PeId* const owners = entry.assignment.data();
+  const std::int64_t cells = entry.cells;
+  std::int64_t assigned = 0;  ///< distinct cells some part owns
+  std::int64_t expected_label = 0;
+  bool saw_end = false;
+  while (next_content_line()) {
+    util::Tokens tokens(line.text);
+    std::string_view word;
+    (void)tokens.next(word);  // a content line has a first token
+    if (saw_end) {
+      error(kPartitionStoreFormat,
+            "content after 'end': '" + std::string(line.text) + "'");
+      continue;
+    }
+    if (word == "end") {
+      saw_end = true;
+      continue;
+    }
+    if (word != "part") {
+      error(kPartitionStoreFormat,
+            "unknown directive '" + std::string(word) + "'");
+      continue;
+    }
+    std::int64_t label = -1;
+    if (!tokens.next_number(label)) {
+      error(kPartitionStoreFormat, "expected 'part <p> <cells...>'");
+      continue;
+    }
+    if (label != expected_label) {
+      error(kPartitionStoreBounds,
+            "part labels must be sequential: expected " +
+                std::to_string(expected_label) + ", got " +
+                std::to_string(label));
+    }
+    ++expected_label;
+    const bool owned = label >= 0 && label < entry.pes;
+    std::int64_t count = 0;
+    std::int64_t cell = -1;
+    for (;;) {
+      if (!tokens.next_number(cell)) {
+        if (!tokens.next(word)) break;  // end of the line
+        error(kPartitionStoreFormat,
+              "malformed cell id '" + std::string(word) + "'");
+        continue;
+      }
+      ++count;
+      if (cell < 0 || cell >= cells) {
+        error(kPartitionStoreBounds, "cell " + std::to_string(cell) +
+                                         " outside [0, " +
+                                         std::to_string(cells) + ")");
+        continue;
+      }
+      partition::PeId& owner = owners[cell];
+      if (owner != -1) {
+        error(kPartitionStoreBounds, "cell " + std::to_string(cell) +
+                                         " assigned twice (already in part " +
+                                         std::to_string(owner) + ")");
+      } else if (owned) {
+        ++assigned;
+      }
+      if (owned) owner = static_cast<partition::PeId>(label);
+    }
+    if (offsets_usable && owned) {
+      const auto p = static_cast<std::size_t>(label);
+      const std::int64_t declared = offsets[p + 1] - offsets[p];
+      if (declared != count) {
+        error(kPartitionStoreOffsets,
+              "part " + std::to_string(label) + " lists " +
+                  std::to_string(count) + " cell(s) but the offsets imply " +
+                  std::to_string(declared));
+      }
+    }
+  }
+
+  if (!saw_end) {
+    file_error(kPartitionStoreFormat, "missing 'end' (file truncated?)");
+  }
+  if (expected_label != entry.pes) {
+    file_error(kPartitionStoreBounds,
+               "expected " + std::to_string(entry.pes) +
+                   " part line(s), got " + std::to_string(expected_label));
+  }
+  const std::int64_t unassigned = cells - assigned;
+  if (unassigned > 0) {
+    file_error(kPartitionStoreBounds,
+               std::to_string(unassigned) + " cell(s) owned by no part");
+  } else if (const std::uint64_t actual = partition_checksum(entry.assignment);
+             actual != entry.checksum) {
+    // Only a fully reconstructed assignment has a meaningful checksum;
+    // coverage errors above already explain the rest.
+    file_error(kPartitionStoreChecksum,
+               "declared checksum " + util::hex16(entry.checksum) +
+                   " does not match assignment checksum " +
+                   util::hex16(actual));
+  }
+  return entry;
+}
 
 std::uint64_t deck_fingerprint(const mesh::InputDeck& deck) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -192,7 +349,7 @@ PartitionStore::PartitionStore(std::filesystem::path directory)
 }
 
 std::filesystem::path PartitionStore::entry_path(const Key& key) const {
-  std::string name = hex16(key.fingerprint);
+  std::string name = util::hex16(key.fingerprint);
   name += '-';
   append_value(name, static_cast<std::uint64_t>(key.pes));
   name += '-';
@@ -205,22 +362,18 @@ std::filesystem::path PartitionStore::entry_path(const Key& key) const {
 
 std::optional<partition::Partition> PartitionStore::load(const Key& key) {
   const std::filesystem::path path = entry_path(key);
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++counters_.misses;
-      bump_store_counter("partition_store.misses");
-      return std::nullopt;
-    }
-    in.seekg(0, std::ios::end);
-    text.resize(static_cast<std::size_t>(in.tellg()));
-    in.seekg(0);
-    in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  const std::optional<std::string> text = util::read_text_file(path);
+  if (!text.has_value()) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.misses;
+    bump_store_counter("partition_store.misses");
+    return std::nullopt;
   }
-  std::optional<partition::Partition> partition = parse_entry(text, key);
-  if (!partition.has_value()) {
+  util::DiagnosticReport report;
+  PartitionEntry entry = parse_partition_entry(*text, report);
+  if (report.has_errors() || entry.fingerprint != key.fingerprint ||
+      entry.pes != key.pes || entry.seed != key.seed ||
+      entry.method != partition::partition_method_name(key.method)) {
     // Evict: a failed check means the file is corrupt or stale, and a
     // deleted entry is simply recomputed on the next run.
     std::error_code ec;
@@ -235,7 +388,7 @@ std::optional<partition::Partition> PartitionStore::load(const Key& key) {
     ++counters_.hits;
     bump_store_counter("partition_store.hits");
   }
-  return partition;
+  return partition::Partition(entry.pes, std::move(entry.assignment));
 }
 
 void PartitionStore::save(const Key& key, const partition::Partition& part) {
@@ -245,7 +398,7 @@ void PartitionStore::save(const Key& key, const partition::Partition& part) {
   std::string text;
   text.reserve(assignment.size() * 8 + 64 * static_cast<std::size_t>(key.pes));
   text += "krakpart 1\nfingerprint ";
-  text += hex16(key.fingerprint);
+  text += util::hex16(key.fingerprint);
   text += "\npes ";
   append_value(text, static_cast<std::uint64_t>(key.pes));
   text += "\nmethod ";
@@ -255,7 +408,7 @@ void PartitionStore::save(const Key& key, const partition::Partition& part) {
   text += "\ncells ";
   append_value(text, static_cast<std::uint64_t>(assignment.size()));
   text += "\nchecksum ";
-  text += hex16(partition_checksum(assignment));
+  text += util::hex16(partition_checksum(assignment));
 
   const std::vector<std::int64_t> counts = part.cell_counts();
   text += "\noffsets 0";

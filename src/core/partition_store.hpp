@@ -4,11 +4,39 @@
 #include <filesystem>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "mesh/deck.hpp"
 #include "partition/partition.hpp"
+#include "util/diagnostic.hpp"
 
 namespace krak::core {
+
+namespace rules {
+
+/// Rule ids of the `krakpart 1` parser; docs/ANALYSIS.md documents them
+/// and analyze/rules.hpp re-exports them.
+///
+/// Structural validity of a partition-store entry: magic/version
+/// header, the fixed header fields (fingerprint, pes, method, seed,
+/// cells, checksum), known partition method, terminating `end` with
+/// nothing after it.
+inline constexpr const char* kPartitionStoreFormat = "partition-store-format";
+/// CSR offsets must start at 0, end at the cell count, be monotone
+/// non-decreasing, and agree with each part line's cell count.
+inline constexpr const char* kPartitionStoreOffsets = "partition-store-offsets";
+/// Part labels must be the sequence 0..pes-1 and every cell id must lie
+/// in [0, cells), be assigned exactly once, and leave no cell unowned.
+inline constexpr const char* kPartitionStoreBounds = "partition-store-bounds";
+/// The declared checksum must equal FNV-1a over the reconstructed
+/// assignment (partition_checksum) — the integrity seal the store
+/// verifies before trusting a file.
+inline constexpr const char* kPartitionStoreChecksum =
+    "partition-store-checksum";
+
+}  // namespace rules
 
 /// FNV-1a over a deck's full content (name, grid, material layout,
 /// detonator), so stored partitions and cache entries can never alias
@@ -19,6 +47,27 @@ namespace krak::core {
 /// in `krakpart` files and checked by `krak_analyze --partition-store`.
 [[nodiscard]] std::uint64_t partition_checksum(
     const std::vector<partition::PeId>& assignment);
+
+/// A parsed `krakpart 1` entry (format below); `assignment[cell]` is -1
+/// where no part claimed the cell.
+struct PartitionEntry {
+  std::uint64_t fingerprint = 0;
+  std::int32_t pes = 0;
+  std::string method;
+  std::uint64_t seed = 0;
+  std::int64_t cells = 0;
+  std::uint64_t checksum = 0;
+  std::vector<partition::PeId> assignment;
+};
+
+/// The one `krakpart 1` parser, shared by PartitionStore::load and
+/// `krak_analyze --partition-store`: one pass of std::from_chars over
+/// the buffer that builds diagnostic text only for a violation. Blank
+/// and `#` lines are skipped everywhere. Every violation of the
+/// rules::kPartitionStore* rules lands in `report` as an error with its
+/// line; a malformed header stops the parse.
+[[nodiscard]] PartitionEntry parse_partition_entry(
+    std::string_view text, util::DiagnosticReport& report);
 
 /// Versioned on-disk store of partition assignments.
 ///
@@ -40,11 +89,10 @@ namespace krak::core {
 ///     part <p> <cells of part p, ascending>     (P lines)
 ///     end
 ///
-/// Every load revalidates the file — magic and version, header/key
-/// agreement, offset monotonicity, part bounds, exactly-once cell
-/// coverage, and the checksum — and a file failing any check is deleted
-/// and reported as a reject, so a corrupt or stale store heals itself
-/// instead of poisoning runs. Counters are mirrored into the
+/// Every load revalidates the file (parse_partition_entry) and checks
+/// that its header matches the key; a file with any error or another
+/// key is deleted and reported as a reject, so a corrupt or stale store
+/// heals itself instead of poisoning runs. Counters are mirrored into the
 /// observability registry as `partition_store.{hits,misses,rejects}`.
 ///
 /// Thread-safe; writes go through a temp file plus rename so a crashed

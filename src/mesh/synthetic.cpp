@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/text_format.hpp"
 
 namespace krak::mesh {
 
@@ -19,8 +21,21 @@ constexpr int kVersion = 1;
 /// round-trips, far tighter than any real mix error.
 constexpr double kMixTolerance = 1e-6;
 
-[[noreturn]] void malformed(const std::string& what) {
-  throw util::KrakError("malformed synthetic spec: " + what);
+std::string line_component(std::size_t line) {
+  return "synthetic/line " + std::to_string(line);
+}
+
+/// parse_synthetic, throwing on its first error.
+SyntheticSpec parse_or_throw(std::string_view text) {
+  util::DiagnosticReport report;
+  SyntheticSpec spec = parse_synthetic(text, report);
+  for (const util::Diagnostic& diagnostic : report.diagnostics()) {
+    if (diagnostic.severity == util::Severity::kError) {
+      throw util::KrakError("malformed synthetic spec: " +
+                            diagnostic.component + ": " + diagnostic.message);
+    }
+  }
+  return spec;
 }
 
 void check_spec(const SyntheticSpec& spec) {
@@ -121,78 +136,177 @@ void save_synthetic(const std::string& path, const SyntheticSpec& spec) {
   write_synthetic(out, spec);
 }
 
-SyntheticSpec read_synthetic(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version)) malformed("missing header");
-  if (magic != kMagic) malformed("bad magic '" + magic + "'");
-  if (version != kVersion) {
-    malformed("unsupported version " + std::to_string(version));
-  }
-
+SyntheticSpec parse_synthetic(std::string_view text,
+                              util::DiagnosticReport& report) {
+  using namespace rules;
   SyntheticSpec spec;
-  spec.name.clear();
+  spec.name = "unnamed";
+  bool saw_header = false;
   bool saw_grid = false;
+  bool saw_detonator = false;
   bool saw_end = false;
+  std::size_t layer_lines = 0;
+  double fraction_sum = 0.0;
+  std::size_t detonator_line = 0;
 
-  std::string key;
-  while (in >> key) {
+  util::LineReader reader(text);
+  util::TextLine line;
+  const auto error = [&](const char* rule, const std::string& message) {
+    report.error(rule, line_component(line.number), message);
+  };
+  while (reader.next(line)) {
+    if (util::is_blank_or_comment(line.text)) continue;
+    const std::vector<std::string_view> tokens = util::split_tokens(line.text);
+    const std::string key(tokens.front());
+    const auto quoted = [&] { return "'" + std::string(line.text) + "'"; };
+    if (!saw_header) {
+      if (tokens.size() != 2 || key != kMagic) {
+        error(kSyntheticFormat, "expected header '" + std::string(kMagic) +
+                                    " " + std::to_string(kVersion) +
+                                    "', got " + quoted());
+        return spec;
+      }
+      if (tokens[1] != std::to_string(kVersion)) {
+        error(kSyntheticFormat, "unsupported version " +
+                                    std::string(tokens[1]) +
+                                    " (this parser reads version " +
+                                    std::to_string(kVersion) + ")");
+        return spec;
+      }
+      saw_header = true;
+      continue;
+    }
+    if (saw_end) {
+      error(kSyntheticFormat, "content after 'end': " + quoted());
+      continue;
+    }
+
     if (key == "name") {
-      if (!(in >> spec.name)) malformed("missing name value");
+      if (tokens.size() != 2) {
+        error(kSyntheticFormat, "'name' needs one value, got " + quoted());
+        continue;
+      }
+      spec.name = tokens[1];
     } else if (key == "grid") {
-      if (!(in >> spec.nx >> spec.ny)) malformed("missing grid dimensions");
-      if (spec.nx <= 0 || spec.ny <= 0) {
-        malformed("non-positive grid dimensions");
+      if (saw_grid) {
+        error(kSyntheticFormat, "duplicate 'grid' line");
+        continue;
+      }
+      if (tokens.size() != 3 || !util::parse_number(tokens[1], spec.nx) ||
+          !util::parse_number(tokens[2], spec.ny)) {
+        error(kSyntheticFormat,
+              "'grid' needs two integer dimensions, got " + quoted());
+        continue;
       }
       saw_grid = true;
+      if (spec.nx <= 0 || spec.ny <= 0) {
+        error(kSyntheticShape, "grid dimensions must be positive, got " +
+                                   std::to_string(spec.nx) + " x " +
+                                   std::to_string(spec.ny));
+      }
     } else if (key == "layer") {
-      std::size_t index = kMaterialCount;
+      std::int64_t index = -1;
       double fraction = 0.0;
-      if (!(in >> index >> fraction)) malformed("missing layer fields");
-      if (index >= kMaterialCount) {
-        malformed("unknown material index " + std::to_string(index));
+      if (tokens.size() != 3 || !util::parse_number(tokens[1], index) ||
+          !util::parse_number(tokens[2], fraction)) {
+        error(kSyntheticFormat,
+              "'layer' needs a material index and a fraction, got " + quoted());
+        continue;
+      }
+      ++layer_lines;
+      const bool known =
+          index >= 0 && index < static_cast<std::int64_t>(kMaterialCount);
+      if (!known) {
+        error(kSyntheticMix, "material index " + std::to_string(index) +
+                                 " outside [0, " +
+                                 std::to_string(kMaterialCount) + ")");
       }
       if (fraction <= 0.0 || fraction > 1.0) {
-        malformed("layer fraction out of (0, 1]");
+        error(kSyntheticMix, "layer fraction must lie in (0, 1], got " +
+                                 std::to_string(fraction));
+      } else {
+        fraction_sum += fraction;
       }
-      spec.layers.push_back({material_from_index(index), fraction});
+      if (known) {
+        spec.layers.push_back(
+            {material_from_index(static_cast<std::size_t>(index)), fraction});
+      }
     } else if (key == "detonator") {
-      if (!(in >> spec.detonator.x >> spec.detonator.y)) {
-        malformed("missing detonator coordinates");
+      if (saw_detonator) {
+        error(kSyntheticFormat, "duplicate 'detonator' line");
+        continue;
       }
-      if (spec.detonator.y < 0.0) malformed("detonator outside the grid");
+      if (tokens.size() != 3 ||
+          !util::parse_number(tokens[1], spec.detonator.x) ||
+          !util::parse_number(tokens[2], spec.detonator.y)) {
+        error(kSyntheticFormat,
+              "'detonator' needs two coordinates, got " + quoted());
+        continue;
+      }
+      saw_detonator = true;
+      detonator_line = line.number;
     } else if (key == "end") {
       saw_end = true;
-      break;
+      if (tokens.size() != 1) {
+        error(kSyntheticFormat, "'end' takes no value, got " + quoted());
+      }
     } else {
-      malformed("unknown key '" + key + "'");
+      error(kSyntheticFormat, "unknown key '" + key + "'");
     }
   }
-  if (!saw_end) malformed("missing 'end'");
-  if (!saw_grid) malformed("missing 'grid'");
-  if (spec.layers.empty()) malformed("missing 'layer' lines");
-  double sum = 0.0;
-  for (const SyntheticSpec::Layer& layer : spec.layers) {
-    sum += layer.fraction;
+
+  const auto file_error = [&](const char* rule, const std::string& message) {
+    report.error(rule, "synthetic", message);
+  };
+  if (!saw_header) {
+    file_error(kSyntheticFormat, "empty input, missing '" +
+                                     std::string(kMagic) + " " +
+                                     std::to_string(kVersion) + "' header");
+    return spec;
   }
-  if (std::abs(sum - 1.0) > kMixTolerance) {
-    malformed("layer fractions sum to " + std::to_string(sum) + ", expected 1");
+  if (!saw_end) file_error(kSyntheticFormat, "missing 'end'");
+  if (!saw_grid) file_error(kSyntheticFormat, "missing 'grid'");
+  if (layer_lines == 0) {
+    file_error(kSyntheticFormat, "missing 'layer' lines");
+  } else if (std::abs(fraction_sum - 1.0) > kMixTolerance) {
+    file_error(kSyntheticMix, "layer fractions sum to " +
+                                  std::to_string(fraction_sum) +
+                                  ", expected 1");
   }
-  if (static_cast<std::size_t>(spec.nx) < spec.layers.size()) {
-    malformed("fewer columns than layers");
+  if (saw_grid && spec.nx > 0 &&
+      static_cast<std::size_t>(spec.nx) < layer_lines) {
+    file_error(kSyntheticMix,
+               "only " + std::to_string(spec.nx) + " column(s) for " +
+                   std::to_string(layer_lines) +
+                   " layer(s); every layer needs at least one column");
   }
-  if (spec.name.empty()) spec.name = "unnamed";
+  const Point det = spec.detonator;
+  if (saw_detonator && saw_grid && spec.nx > 0 && spec.ny > 0 &&
+      (det.x < 0.0 || det.x > static_cast<double>(spec.nx) || det.y < 0.0 ||
+       det.y > static_cast<double>(spec.ny))) {
+    std::ostringstream os;
+    os << "detonator (" << det.x << ", " << det.y
+       << ") outside the grid domain [0, " << spec.nx << "] x [0, "
+       << spec.ny << "]";
+    report.error(kSyntheticShape, line_component(detonator_line), os.str());
+  }
   return spec;
 }
 
+SyntheticSpec read_synthetic(std::istream& in) {
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return parse_or_throw(buffer.str());
+}
+
 SyntheticSpec load_synthetic(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = util::read_text_file(path);
+  if (!text.has_value()) {
     throw util::KrakError("load_synthetic: cannot open " + path + ": " +
                           util::errno_message());
   }
   try {
-    return read_synthetic(in);
+    return parse_or_throw(*text);
   } catch (const util::KrakError& error) {
     throw util::KrakError("load_synthetic: " + path + ": " + error.what());
   }

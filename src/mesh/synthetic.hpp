@@ -2,11 +2,32 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mesh/deck.hpp"
+#include "util/diagnostic.hpp"
 
 namespace krak::mesh {
+
+namespace rules {
+
+/// Rule ids of the `kraksynth 1` parser; docs/ANALYSIS.md documents
+/// them and analyze/rules.hpp re-exports them.
+///
+/// Structural validity of a synthetic-deck spec: magic/version header,
+/// known keys, well-formed values, no duplicate grid/detonator lines,
+/// terminating `end` with nothing after it.
+inline constexpr const char* kSyntheticFormat = "synthetic-format";
+/// The material mix must be generatable: known material indices, layer
+/// fractions in (0, 1] summing to 1, and at least one grid column per
+/// layer.
+inline constexpr const char* kSyntheticMix = "synthetic-mix";
+/// Grid dimensions must be positive and an explicit detonator must lie
+/// inside the grid domain.
+inline constexpr const char* kSyntheticShape = "synthetic-shape";
+
+}  // namespace rules
 
 /// Specification of a deterministic synthetic deck: a layered cylinder
 /// like the paper's (Figure 1), but with a free grid size and material
@@ -29,7 +50,9 @@ namespace krak::mesh {
 /// Each `layer <material-index> <fraction>` is one radial layer, inner
 /// to outer; fractions must be positive and sum to 1. Material indices
 /// match the krakdeck format's. `detonator` is optional — omitted, the
-/// generator uses the paper's placement (on the axis, 0.4 * ny).
+/// generator uses the paper's placement (on the axis, 0.4 * ny) — and
+/// must lie inside the grid. Blank lines and `#` comments may appear
+/// anywhere; nothing else may follow `end`.
 struct SyntheticSpec {
   /// One radial layer: a material and its fraction of the columns.
   struct Layer {
@@ -66,8 +89,16 @@ struct SyntheticSpec {
 void write_synthetic(std::ostream& out, const SyntheticSpec& spec);
 void save_synthetic(const std::string& path, const SyntheticSpec& spec);
 
-/// Parse a spec; throws KrakError on malformed input (wrong magic,
-/// unknown key, bad layer index, fractions that cannot form a deck).
+/// The one `kraksynth 1` parser, shared by read_synthetic and
+/// `krak_analyze --synthetic`: every violation of the rules above lands
+/// in `report` as an error with its line. A missing or wrong header
+/// stops the parse.
+[[nodiscard]] SyntheticSpec parse_synthetic(std::string_view text,
+                                            util::DiagnosticReport& report);
+
+/// Parse a spec; throws KrakError naming the first error parse_synthetic
+/// reports (wrong magic, unknown key, bad layer index, fractions that
+/// cannot form a deck, a detonator outside the grid, ...).
 [[nodiscard]] SyntheticSpec read_synthetic(std::istream& in);
 [[nodiscard]] SyntheticSpec load_synthetic(const std::string& path);
 

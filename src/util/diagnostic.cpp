@@ -1,4 +1,4 @@
-#include "analyze/diagnostic.hpp"
+#include "util/diagnostic.hpp"
 
 #include <algorithm>
 #include <ostream>
@@ -7,7 +7,7 @@
 
 #include "util/csv.hpp"
 
-namespace krak::analyze {
+namespace krak::util {
 
 std::string_view severity_name(Severity severity) {
   switch (severity) {
@@ -95,9 +95,9 @@ std::string DiagnosticReport::to_csv() const {
   std::ostringstream os;
   os << "severity,rule,component,message\n";
   for (const Diagnostic& d : sorted()) {
-    os << util::csv_escape(std::string(severity_name(d.severity))) << ","
-       << util::csv_escape(d.rule) << "," << util::csv_escape(d.component)
-       << "," << util::csv_escape(d.message) << "\n";
+    os << csv_escape(std::string(severity_name(d.severity))) << ","
+       << csv_escape(d.rule) << "," << csv_escape(d.component)
+       << "," << csv_escape(d.message) << "\n";
   }
   return os.str();
 }
@@ -106,4 +106,4 @@ std::ostream& operator<<(std::ostream& os, const DiagnosticReport& report) {
   return os << report.to_text();
 }
 
-}  // namespace krak::analyze
+}  // namespace krak::util

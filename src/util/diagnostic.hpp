@@ -6,9 +6,9 @@
 #include <string_view>
 #include <vector>
 
-namespace krak::analyze {
+namespace krak::util {
 
-/// Severity of a linter finding, ordered from most to least severe.
+/// Severity of a finding, ordered from most to least severe.
 enum class Severity {
   /// The model inputs are inconsistent; predictions from them are
   /// meaningless and a run should not proceed.
@@ -23,12 +23,13 @@ enum class Severity {
 
 [[nodiscard]] std::string_view severity_name(Severity severity);
 
-/// One linter finding.
+/// One finding of a linter or a file-format parser.
 ///
-/// `rule` is the stable machine-readable rule id (see rules.hpp),
-/// `component` names the model input the finding is about
-/// ("cost-table/phase 3/Foam", "partition/pe 12 -> pe 13"), and
-/// `message` explains the violation with the observed values.
+/// `rule` is the stable machine-readable rule id (analyze/rules.hpp),
+/// `component` names the input the finding is about, with its position
+/// when it comes from a file ("cost-table/phase 3/Foam",
+/// "journal/line 12"), and `message` explains the violation with the
+/// observed values.
 struct Diagnostic {
   Severity severity = Severity::kInfo;
   std::string rule;
@@ -36,7 +37,9 @@ struct Diagnostic {
   std::string message;
 };
 
-/// A severity-ranked collection of linter findings.
+/// A severity-ranked collection of findings. The file-format parsers
+/// (core/campaign_journal, core/partition_store, mesh/synthetic) report
+/// into one, so their loaders and the krak_analyze linters share it.
 ///
 /// Findings accumulate in lint order; `sorted()` ranks them most-severe
 /// first (stable within a severity, so related findings stay adjacent).
@@ -90,4 +93,4 @@ class DiagnosticReport {
 
 std::ostream& operator<<(std::ostream& os, const DiagnosticReport& report);
 
-}  // namespace krak::analyze
+}  // namespace krak::util

@@ -111,6 +111,11 @@ void ThreadPool::worker_loop() {
       ++in_flight_;
     }
     task();
+    // Destroy what the task captured before reporting it done, so a
+    // caller returning from wait_idle() never races this thread's
+    // destructors (e.g. dropping the last reference to an exception
+    // that parallel_for_chunked rethrows).
+    task = nullptr;
     {
       std::lock_guard lock(mutex_);
       --in_flight_;

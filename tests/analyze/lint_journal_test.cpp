@@ -4,7 +4,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analyze/rules.hpp"
@@ -17,15 +16,12 @@ namespace {
 namespace fs = std::filesystem;
 
 TEST(LintJournal, CorruptedFixtureTripsEveryJournalRule) {
-  std::istringstream in(corrupted_journal_text());
-  DiagnosticReport report;
-  const JournalFile file = lint_journal(in, report);
+  const DiagnosticReport report = lint_journal(corrupted_journal_text());
   EXPECT_TRUE(report.has_errors());
   EXPECT_TRUE(report.has_rule(rules::kJournalFormat)) << report.to_text();
   EXPECT_TRUE(report.has_rule(rules::kJournalChecksum)) << report.to_text();
   EXPECT_TRUE(report.has_rule(rules::kJournalStateMachine)) << report.to_text();
   EXPECT_TRUE(report.has_rule(rules::kJournalTornTail)) << report.to_text();
-  EXPECT_TRUE(file.torn_tail);
 }
 
 TEST(LintJournal, RealJournalLintsClean) {
@@ -54,38 +50,32 @@ TEST(LintJournal, RealJournalLintsClean) {
   EXPECT_EQ(report.warning_count(), 0u) << report.to_text();
 
   std::ifstream in(path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
   DiagnosticReport again;
-  const JournalFile file = lint_journal(in, again);
-  EXPECT_EQ(file.records, 7u);
-  EXPECT_EQ(file.scenarios, 2u);
-  EXPECT_EQ(file.completed, 1u);
-  EXPECT_EQ(file.quarantined, 1u);
-  EXPECT_FALSE(file.torn_tail);
+  const core::ParsedJournal parsed = core::parse_journal(text, again);
+  EXPECT_EQ(parsed.records.size(), 7u);
+  EXPECT_EQ(parsed.kept_records, 7u);
+  EXPECT_EQ(parsed.kept_bytes, text.size());
   fs::remove(path);
 }
 
 TEST(LintJournal, EmptyInputIsAFormatError) {
-  std::istringstream in("");
-  DiagnosticReport report;
-  (void)lint_journal(in, report);
+  const DiagnosticReport report = lint_journal("");
   EXPECT_TRUE(report.has_rule(rules::kJournalFormat));
   EXPECT_TRUE(report.has_errors());
 }
 
 TEST(LintJournal, WrongMagicIsAFormatError) {
-  std::istringstream in("krakpart 1\n");
-  DiagnosticReport report;
-  (void)lint_journal(in, report);
+  const DiagnosticReport report = lint_journal("krakpart 1\n");
   EXPECT_TRUE(report.has_rule(rules::kJournalFormat));
 }
 
 TEST(LintJournal, TornTailAloneIsAWarningNotAnError) {
   // Recovery truncates a torn append cleanly, so an otherwise-valid
   // journal with one torn line must not fail a CI gate.
-  std::istringstream in("krakjournal 1\nrunning 00000000000000");
-  DiagnosticReport report;
-  const JournalFile file = lint_journal(in, report);
-  EXPECT_TRUE(file.torn_tail);
+  const DiagnosticReport report =
+      lint_journal("krakjournal 1\nrunning 00000000000000");
   EXPECT_FALSE(report.has_errors()) << report.to_text();
   EXPECT_EQ(report.warning_count(), 1u);
   EXPECT_TRUE(report.has_rule(rules::kJournalTornTail));

@@ -4,7 +4,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analyze/rules.hpp"
@@ -16,16 +15,16 @@ namespace krak::analyze {
 namespace {
 
 DiagnosticReport lint_text(const std::string& text,
-                           PartitionStoreFile* parsed = nullptr) {
-  std::istringstream in(text);
+                           core::PartitionEntry* parsed = nullptr) {
   DiagnosticReport report;
-  PartitionStoreFile file = lint_partition_store(in, report);
-  if (parsed != nullptr) *parsed = std::move(file);
+  core::PartitionEntry entry = core::parse_partition_entry(text, report);
+  EXPECT_EQ(report.to_text(), lint_partition_store(text).to_text());
+  if (parsed != nullptr) *parsed = std::move(entry);
   return report;
 }
 
 TEST(LintPartitionStore, CleanEntryHasNoFindings) {
-  PartitionStoreFile parsed;
+  core::PartitionEntry parsed;
   const DiagnosticReport report = lint_text(
       "krakpart 1\n"
       "fingerprint 00000000deadbeef\n"
@@ -46,7 +45,7 @@ TEST(LintPartitionStore, CleanEntryHasNoFindings) {
   EXPECT_EQ(parsed.method, "rcb");
   EXPECT_EQ(parsed.seed, 5u);
   EXPECT_EQ(parsed.assignment,
-            (std::vector<std::int32_t>{0, 0, 1, 1}));
+            (std::vector<partition::PeId>{0, 0, 1, 1}));
 }
 
 TEST(LintPartitionStore, WrongMagicIsFormatError) {
@@ -134,12 +133,12 @@ TEST(LintPartitionStore, StoreWrittenEntryLintsClean) {
   key.seed = 1;
   store.save(key, part);
 
-  PartitionStoreFile parsed;
+  core::PartitionEntry parsed;
   const DiagnosticReport report = [&] {
     std::ifstream in(store.entry_path(key));
-    DiagnosticReport r;
-    parsed = lint_partition_store(in, r);
-    return r;
+    return lint_text(std::string((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>()),
+                     &parsed);
   }();
   EXPECT_FALSE(report.has_errors()) << report.to_text();
   EXPECT_EQ(parsed.fingerprint, key.fingerprint);

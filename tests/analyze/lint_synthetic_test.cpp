@@ -15,14 +15,15 @@ namespace {
 namespace fs = std::filesystem;
 
 TEST(LintSynthetic, CorruptedFixtureTripsEverySyntheticRule) {
-  std::istringstream in(corrupted_synthetic_text());
-  DiagnosticReport report;
-  const SyntheticFile file = lint_synthetic(in, report);
+  const std::string text = corrupted_synthetic_text();
+  const DiagnosticReport report = lint_synthetic(text);
   EXPECT_TRUE(report.has_errors());
   EXPECT_TRUE(report.has_rule(rules::kSyntheticFormat)) << report.to_text();
   EXPECT_TRUE(report.has_rule(rules::kSyntheticMix)) << report.to_text();
   EXPECT_TRUE(report.has_rule(rules::kSyntheticShape)) << report.to_text();
-  EXPECT_EQ(file.name, "corrupted-synthetic");
+  DiagnosticReport parsed_report;
+  EXPECT_EQ(mesh::parse_synthetic(text, parsed_report).name,
+            "corrupted-synthetic");
 }
 
 TEST(LintSynthetic, WriterOutputLintsClean) {
@@ -30,86 +31,74 @@ TEST(LintSynthetic, WriterOutputLintsClean) {
   // including the large-deck shape the 100k-rank benches use.
   std::stringstream stream;
   mesh::write_synthetic(stream, mesh::paper_synthetic_spec(1024, 128));
-  DiagnosticReport report;
-  const SyntheticFile file = lint_synthetic(stream, report);
+  const DiagnosticReport report = lint_synthetic(stream.str());
   EXPECT_FALSE(report.has_errors()) << report.to_text();
   EXPECT_EQ(report.warning_count(), 0u) << report.to_text();
-  EXPECT_EQ(file.name, "synthetic-1024x128");
-  EXPECT_EQ(file.nx, 1024);
-  EXPECT_EQ(file.ny, 128);
-  EXPECT_EQ(file.layers, 4u);
-  EXPECT_FALSE(file.has_detonator);  // paper placement is implied
+  DiagnosticReport parsed_report;
+  const mesh::SyntheticSpec spec =
+      mesh::parse_synthetic(stream.str(), parsed_report);
+  EXPECT_EQ(spec.name, "synthetic-1024x128");
+  EXPECT_EQ(spec.nx, 1024);
+  EXPECT_EQ(spec.ny, 128);
+  EXPECT_EQ(spec.layers.size(), 4u);
+  EXPECT_LT(spec.detonator.y, 0.0);  // paper placement is implied
 }
 
 TEST(LintSynthetic, EmptyInputIsAFormatError) {
-  std::istringstream in("");
-  DiagnosticReport report;
-  (void)lint_synthetic(in, report);
+  const DiagnosticReport report = lint_synthetic("");
   EXPECT_TRUE(report.has_errors());
   EXPECT_TRUE(report.has_rule(rules::kSyntheticFormat));
 }
 
 TEST(LintSynthetic, WrongMagicIsAFormatError) {
-  std::istringstream in("krakdeck 1\nend\n");
-  DiagnosticReport report;
-  (void)lint_synthetic(in, report);
+  const DiagnosticReport report = lint_synthetic("krakdeck 1\nend\n");
   EXPECT_TRUE(report.has_rule(rules::kSyntheticFormat));
 }
 
 TEST(LintSynthetic, NamesEveryViolationInOnePass) {
   // Unlike read_synthetic (first-throw), the linter reports all of a
   // spec's problems so a hand-written file is fixable in one pass.
-  std::istringstream in(
+  const DiagnosticReport report = lint_synthetic(
       "kraksynth 1\n"
       "grid 2 0\n"
       "layer 12 2.5\n"
       "layer 0 0.25\n"
       "layer 1 0.25\n"
       "bogus\n");
-  DiagnosticReport report;
-  const SyntheticFile file = lint_synthetic(in, report);
   EXPECT_TRUE(report.has_rule(rules::kSyntheticShape));  // ny == 0
   EXPECT_TRUE(report.has_rule(rules::kSyntheticMix));    // index, fraction, sum
   EXPECT_TRUE(report.has_rule(rules::kSyntheticFormat));  // bogus key, no end
   EXPECT_GE(report.error_count(), 5u) << report.to_text();
-  EXPECT_EQ(file.layers, 3u);
 }
 
 TEST(LintSynthetic, MoreLayersThanColumnsIsAMixError) {
-  std::istringstream in(
+  const DiagnosticReport report = lint_synthetic(
       "kraksynth 1\n"
       "grid 2 8\n"
       "layer 0 0.3\n"
       "layer 1 0.3\n"
       "layer 2 0.4\n"
       "end\n");
-  DiagnosticReport report;
-  (void)lint_synthetic(in, report);
   EXPECT_TRUE(report.has_rule(rules::kSyntheticMix)) << report.to_text();
 }
 
 TEST(LintSynthetic, DetonatorOutsideTheGridIsAShapeError) {
-  std::istringstream in(
+  const DiagnosticReport report = lint_synthetic(
       "kraksynth 1\n"
       "grid 64 32\n"
       "layer 0 1.0\n"
       "detonator 65 8\n"
       "end\n");
-  DiagnosticReport report;
-  const SyntheticFile file = lint_synthetic(in, report);
   EXPECT_TRUE(report.has_rule(rules::kSyntheticShape)) << report.to_text();
-  EXPECT_TRUE(file.has_detonator);
 }
 
 TEST(LintSynthetic, ContentAfterEndIsAFormatError) {
-  std::istringstream in(
+  const DiagnosticReport report = lint_synthetic(
       "kraksynth 1\n"
       "grid 8 8\n"
       "layer 0 1.0\n"
       "end\n"
       "layer 1 1.0\n");
-  DiagnosticReport report;
-  (void)lint_synthetic(in, report);
   EXPECT_TRUE(report.has_rule(rules::kSyntheticFormat)) << report.to_text();
 }
 

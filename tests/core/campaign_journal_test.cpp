@@ -163,6 +163,34 @@ TEST_F(CampaignJournalTest, CorruptMidFileRecordDropsItAndTheRest) {
   EXPECT_EQ(slurp(path_), "krakjournal 1\n");
 }
 
+TEST_F(CampaignJournalTest, BlankAndCommentLinesBetweenRecordsAreKept) {
+  {
+    CampaignJournal journal(path_);
+    journal.record_running(0xf1u, 1);
+    journal.record_done(0xf1u, 1, ValidationPoint{"p", 8, 1.0, 2.0});
+    journal.record_running(0xf2u, 1);
+    journal.record_done(0xf2u, 1, ValidationPoint{"q", 16, 3.0, 4.0});
+  }
+  // A blank line after record 2 and a note after record 3: both are
+  // part of the format, so recovery replays all four records and keeps
+  // every byte.
+  std::string text = slurp(path_);
+  std::size_t eol = text.find('\n');
+  for (int line = 0; line < 2; ++line) eol = text.find('\n', eol + 1);
+  text.insert(eol + 1, "\n");
+  eol = text.find('\n', eol + 2);
+  text.insert(eol + 1, "# hand-written note\n");
+  { std::ofstream(path_, std::ios::binary | std::ios::trunc) << text; }
+
+  CampaignJournal journal(path_);
+  EXPECT_EQ(journal.recovery().records, 4u);
+  EXPECT_FALSE(journal.recovery().torn_tail);
+  EXPECT_EQ(journal.recovery().dropped_bytes, 0u);
+  EXPECT_EQ(journal.recovery().completed, 2u);
+  EXPECT_TRUE(journal.history(0xf2u).done);
+  EXPECT_EQ(slurp(path_), text);
+}
+
 TEST_F(CampaignJournalTest, RefusesToAdoptANonJournalFile) {
   fs::create_directories(directory_);
   { std::ofstream(path_) << "precious user data\nmore of it\n"; }

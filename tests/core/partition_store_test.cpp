@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "core/partition_cache.hpp"
@@ -113,6 +114,33 @@ TEST_F(PartitionStoreTest, CorruptEntryIsRejectedAndEvicted) {
   EXPECT_FALSE(fs::exists(store.entry_path(key)));
   EXPECT_FALSE(store.load(key).has_value());
   EXPECT_EQ(store.counters().misses, 1u);
+}
+
+TEST_F(PartitionStoreTest, CommentAndBlankLinesLoad) {
+  const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kSmall);
+  const partition::Partition part = partition::partition_deck(
+      deck, 16, partition::PartitionMethod::kMultilevel, 1);
+  const PartitionStore::Key key = key_for(deck, 16, 1);
+
+  PartitionStore store(directory_);
+  store.save(key, part);
+  {
+    // Annotate the entry by hand: a `#` line and a blank line are part
+    // of the format, so the entry still loads.
+    std::ifstream in(store.entry_path(key));
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const std::size_t pos = text.find("offsets ");
+    ASSERT_NE(pos, std::string::npos);
+    text.insert(pos, "# annotated by hand\n\n");
+    std::ofstream out(store.entry_path(key), std::ios::trunc);
+    out << text;
+  }
+
+  const std::optional<partition::Partition> loaded = store.load(key);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->assignment(), part.assignment());
+  EXPECT_EQ(store.counters().rejects, 0u);
 }
 
 TEST_F(PartitionStoreTest, MismatchedKeyRejectsEntry) {

@@ -98,6 +98,25 @@ TEST(Synthetic, RejectsMalformedSpecs) {
       "kraksynth 1\ngrid 2 8\nlayer 0 0.3\nlayer 1 0.3\nlayer 2 0.4\nend\n");
 }
 
+TEST(Synthetic, RejectsWhatTheLinterRejects) {
+  // Rules the linter always had and the loader once skipped.
+  const auto expect_rejected = [](const std::string& text) {
+    std::istringstream in(text);
+    EXPECT_THROW((void)read_synthetic(in), util::KrakError) << text;
+  };
+  const std::string body = "grid 64 32\nlayer 0 1.0\n";
+  expect_rejected("kraksynth 1\n" + body + "detonator 0 2048\nend\n");
+  expect_rejected("kraksynth 1\n" + body + "detonator -1 4\nend\n");
+  expect_rejected("kraksynth 1\n" + body + "grid 64 32\nend\n");
+  expect_rejected("kraksynth 1\n" + body +
+                  "detonator 0 4\ndetonator 0 5\nend\n");
+  expect_rejected("kraksynth 1\n" + body + "end\nlayer 1 1.0\n");
+  // Blank and `#` lines are part of the format.
+  std::istringstream annotated("# note\nkraksynth 1\n\n" + body +
+                               "# placed by hand\ndetonator 0 4\nend\n");
+  EXPECT_EQ(read_synthetic(annotated).detonator, (Point{0.0, 4.0}));
+}
+
 TEST(Synthetic, InvalidSpecRejectedByGenerator) {
   SyntheticSpec spec;
   spec.nx = 16;

@@ -1,10 +1,10 @@
-#include "analyze/diagnostic.hpp"
+#include "util/diagnostic.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-namespace krak::analyze {
+namespace krak::util {
 namespace {
 
 DiagnosticReport make_mixed_report() {
@@ -98,4 +98,4 @@ TEST(Severity, Names) {
 }
 
 }  // namespace
-}  // namespace krak::analyze
+}  // namespace krak::util

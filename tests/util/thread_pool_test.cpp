@@ -214,23 +214,42 @@ TEST(ThreadPool, ChunkedZeroCountIsNoop) {
 }
 
 TEST(ThreadPool, ChunkedPropagatesFirstExceptionAndStopsClaiming) {
-  ThreadPool pool(2);
-  std::atomic<int> executed{0};
   constexpr std::size_t kCount = 100000;
-  try {
-    pool.parallel_for_chunked(kCount, 16,
-                              [&executed](std::size_t begin, std::size_t) {
-                                executed.fetch_add(1);
-                                if (begin == 0) {
-                                  throw InvalidArgument("first chunk rejected");
-                                }
-                              });
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& error) {
-    EXPECT_NE(std::string(error.what()).find("first chunk rejected"),
-              std::string::npos);
+  constexpr std::size_t kGrain = 16;
+  const auto first_chunk_throws = [](std::atomic<int>& executed) {
+    return [&executed](std::size_t begin, std::size_t) {
+      executed.fetch_add(1);
+      if (begin == 0) throw InvalidArgument("first chunk rejected");
+    };
+  };
+  const auto expect_rethrown = [](ThreadPool& pool, const auto& fn) {
+    try {
+      pool.parallel_for_chunked(kCount, kGrain, fn);
+      ADD_FAILURE() << "expected InvalidArgument";
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find("first chunk rejected"),
+                std::string::npos);
+    }
+  };
+  {
+    // One worker claims chunk 0 first and stops at its failure: exactly
+    // one chunk runs before the rethrow, on any host and any schedule.
+    ThreadPool pool(1);
+    std::atomic<int> executed{0};
+    expect_rethrown(pool, first_chunk_throws(executed));
+    EXPECT_EQ(executed.load(), 1);
   }
-  EXPECT_LT(executed.load(), static_cast<int>(kCount / 16));
+  {
+    // Several workers: the failure still reaches the caller. How many
+    // chunks the others finish first depends on the schedule (one may
+    // legitimately run all the rest while the thrower is descheduled),
+    // so only "no chunk runs twice" is checked here.
+    ThreadPool pool(4);
+    std::atomic<int> executed{0};
+    expect_rethrown(pool, first_chunk_throws(executed));
+    EXPECT_GE(executed.load(), 1);
+    EXPECT_LE(executed.load(), static_cast<int>(kCount / kGrain));
+  }
 }
 
 TEST(ThreadPool, ChunkedIsReusableAfterFailure) {

@@ -40,6 +40,8 @@ SyntheticSpec parse_or_throw(std::string_view text) {
 
 void check_spec(const SyntheticSpec& spec) {
   check(spec.nx > 0 && spec.ny > 0, "synthetic grid must be positive");
+  check(std::int64_t{spec.nx} * spec.ny <= kMaxSyntheticCells,
+        "synthetic grid exceeds kMaxSyntheticCells");
   check(!spec.layers.empty(), "synthetic spec needs at least one layer");
   check(static_cast<std::size_t>(spec.nx) >= spec.layers.size(),
         "synthetic deck needs at least one column per layer");
@@ -203,6 +205,11 @@ SyntheticSpec parse_synthetic(std::string_view text,
         error(kSyntheticShape, "grid dimensions must be positive, got " +
                                    std::to_string(spec.nx) + " x " +
                                    std::to_string(spec.ny));
+      } else if (std::int64_t{spec.nx} * spec.ny > kMaxSyntheticCells) {
+        error(kSyntheticShape,
+              "grid " + std::to_string(spec.nx) + " x " +
+                  std::to_string(spec.ny) + " exceeds the limit of " +
+                  std::to_string(kMaxSyntheticCells) + " cells");
       }
     } else if (key == "layer") {
       std::int64_t index = -1;

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -17,17 +18,16 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 // Multilevel k-way partitioner (the project's Metis stand-in).
 //
 // Everything in this file obeys one contract: the resulting assignment
-// is a pure function of (graph, parts, seed). Thread count, ladder-cache
-// hits, and every fast path below are output-invariant, so the model's
+// is a pure function of (graph, parts, seed). Ladder-cache hits and
+// every fast path below are output-invariant, so the model's
 // measured/predicted numbers never move when the partitioner gets
 // faster. docs/PERFORMANCE.md ("Partitioner") walks through the
 // identity argument for each path; tests/partition/determinism_test.cpp
-// enforces it against checked-in checksums at 1/2/8 threads.
+// enforces it against checked-in checksums.
 
 namespace krak::partition {
 
@@ -40,11 +40,11 @@ struct CoarseningStep {
   std::vector<std::int32_t> fine_to_coarse;
 };
 
-/// Serial reference matching: walk the shuffled order, pair each
-/// unmatched vertex with its unmatched neighbor across the heaviest
-/// edge (first occurrence wins ties via the strict comparison).
-void match_serial(const Graph& fine, const std::vector<std::int32_t>& order,
-                  std::vector<std::int32_t>& match) {
+/// Heavy-edge matching: walk the shuffled order, pair each unmatched
+/// vertex with its unmatched neighbor across the heaviest edge (first
+/// occurrence wins ties via the strict comparison).
+void match_heavy_edges(const Graph& fine, const std::vector<std::int32_t>& order,
+                       std::vector<std::int32_t>& match) {
   const std::int64_t* const xadj = fine.xadj.data();
   const std::int32_t* const adjncy = fine.adjncy.data();
   const std::int32_t* const ewgt = fine.ewgt.data();
@@ -78,88 +78,14 @@ void match_serial(const Graph& fine, const std::vector<std::int32_t>& order,
   }
 }
 
-/// Speculative parallel matching, identical output to match_serial.
-///
-/// The order is processed in fixed windows. Workers compute a match
-/// proposal for every position of the window against the match state as
-/// of the window start (no writes happen during the parallel phase), a
-/// serial committer then walks the window in order. Matches only ever
-/// grow, so a proposal is still exact at commit time unless its partner
-/// was taken by an earlier commit:
-///  - the proposed partner is the first strictly-heaviest unmatched
-///    neighbor over a superset of the commit-time unmatched set; if it
-///    is still unmatched, removing other vertices can only have removed
-///    competitors it already beat, so it is still the serial pick;
-///  - a self-match proposal (no unmatched neighbor at snapshot time)
-///    stays valid because the unmatched set only shrinks.
-/// Invalidated proposals (rare) are recomputed serially in place.
-void match_speculative(const Graph& fine, const std::vector<std::int32_t>& order,
-                       std::vector<std::int32_t>& match,
-                       util::ThreadPool& pool) {
-  const std::int64_t* const xadj = fine.xadj.data();
-  const std::int32_t* const adjncy = fine.adjncy.data();
-  const std::int32_t* const ewgt = fine.ewgt.data();
-  constexpr std::size_t kWindow = 8192;
-  constexpr std::int32_t kAlreadyMatched = -2;
-  std::vector<std::int32_t> proposal(std::min(kWindow, order.size()));
-
-  const auto propose = [&](std::int32_t v) -> std::int32_t {
-    std::int32_t best = -1;
-    std::int32_t best_weight = -1;
-    for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
-      const std::int32_t u = adjncy[e];
-      if (match[static_cast<std::size_t>(u)] != -1) continue;
-      if (ewgt[e] > best_weight) {
-        best_weight = ewgt[e];
-        best = u;
-      }
-    }
-    return best;  // -1: self-match
-  };
-
-  for (std::size_t window = 0; window < order.size(); window += kWindow) {
-    const std::size_t end = std::min(window + kWindow, order.size());
-    const std::size_t size = end - window;
-    pool.parallel_for_chunked(
-        size, 1024, [&](std::size_t begin, std::size_t stop) {
-          for (std::size_t i = begin; i < stop; ++i) {
-            const std::int32_t v = order[window + i];
-            proposal[i] = match[static_cast<std::size_t>(v)] != -1
-                              ? kAlreadyMatched
-                              : propose(v);
-          }
-        });
-    for (std::size_t i = 0; i < size; ++i) {
-      const std::int32_t v = order[window + i];
-      if (match[static_cast<std::size_t>(v)] != -1) continue;
-      std::int32_t best = proposal[i];
-      if (best == kAlreadyMatched ||
-          (best >= 0 && match[static_cast<std::size_t>(best)] != -1)) {
-        best = propose(v);  // partner taken by an earlier commit
-      }
-      if (best != -1) {
-        match[static_cast<std::size_t>(v)] = best;
-        match[static_cast<std::size_t>(best)] = v;
-      } else {
-        match[static_cast<std::size_t>(v)] = v;
-      }
-    }
-  }
-}
-
-CoarseningStep coarsen_once(const Graph& fine, util::Rng& rng,
-                            util::ThreadPool* pool) {
+CoarseningStep coarsen_once(const Graph& fine, util::Rng& rng) {
   const std::int32_t n = fine.num_vertices();
   std::vector<std::int32_t> match(static_cast<std::size_t>(n), -1);
   std::vector<std::int32_t> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::shuffle(order.begin(), order.end(), rng);
 
-  if (pool != nullptr) {
-    match_speculative(fine, order, match, *pool);
-  } else {
-    match_serial(fine, order, match);
-  }
+  match_heavy_edges(fine, order, match);
 
   CoarseningStep step;
   step.fine_to_coarse.assign(static_cast<std::size_t>(n), -1);
@@ -204,102 +130,31 @@ CoarseningStep coarsen_once(const Graph& fine, util::Rng& rng,
   const std::int32_t* const fewgt = fine.ewgt.data();
   const std::int32_t* const f2c = step.fine_to_coarse.data();
 
-  if (pool == nullptr) {
-    coarse.xadj.reserve(static_cast<std::size_t>(coarse_count) + 1);
-    coarse.xadj.push_back(0);
-    // Upper bound: coarsening only ever collapses or merges fine edges.
-    coarse.adjncy.reserve(fine.adjncy.size());
-    coarse.ewgt.reserve(fine.adjncy.size());
-    for (std::int32_t cv = 0; cv < coarse_count; ++cv) {
-      const std::size_t start = coarse.adjncy.size();
-      for (std::int32_t v : members[static_cast<std::size_t>(cv)]) {
-        if (v == -1) continue;
-        for (std::int64_t e = fxadj[v]; e < fxadj[v + 1]; ++e) {
-          const std::int32_t cu = f2c[fadjncy[e]];
-          if (cu == cv) continue;  // edge collapses inside the coarse vertex
-          std::size_t pos = start;
-          const std::size_t filled = coarse.adjncy.size();
-          while (pos < filled && coarse.adjncy[pos] != cu) ++pos;
-          if (pos < filled) {
-            coarse.ewgt[pos] += fewgt[e];
-          } else {
-            coarse.adjncy.push_back(cu);
-            coarse.ewgt.push_back(fewgt[e]);
-          }
-        }
-      }
-      coarse.xadj.push_back(static_cast<std::int64_t>(coarse.adjncy.size()));
-    }
-    return step;
-  }
-
-  // Two-pass parallel aggregation, identical output to the streaming
-  // loop: coarse degrees are counted per coarse vertex in parallel, a
-  // serial prefix sum fixes every vertex's CSR range, and a second
-  // parallel pass fills the ranges. Each coarse vertex's list is built
-  // by the same member-order linear dedup as the serial loop, and the
-  // ranges are disjoint, so the passes are race-free and the resulting
-  // CSR arrays are byte-identical.
-  const std::size_t grain = std::max<std::size_t>(
-      1024, static_cast<std::size_t>(coarse_count) / (pool->thread_count() * 4));
-  const auto emit = [&](std::int32_t cv, std::int32_t* out_adj,
-                        std::int32_t* out_wgt) -> std::int64_t {
-    std::int64_t filled = 0;
+  coarse.xadj.reserve(static_cast<std::size_t>(coarse_count) + 1);
+  coarse.xadj.push_back(0);
+  // Upper bound: coarsening only ever collapses or merges fine edges.
+  coarse.adjncy.reserve(fine.adjncy.size());
+  coarse.ewgt.reserve(fine.adjncy.size());
+  for (std::int32_t cv = 0; cv < coarse_count; ++cv) {
+    const std::size_t start = coarse.adjncy.size();
     for (std::int32_t v : members[static_cast<std::size_t>(cv)]) {
       if (v == -1) continue;
       for (std::int64_t e = fxadj[v]; e < fxadj[v + 1]; ++e) {
         const std::int32_t cu = f2c[fadjncy[e]];
-        if (cu == cv) continue;
-        std::int64_t pos = 0;
-        while (pos < filled && out_adj[pos] != cu) ++pos;
+        if (cu == cv) continue;  // edge collapses inside the coarse vertex
+        std::size_t pos = start;
+        const std::size_t filled = coarse.adjncy.size();
+        while (pos < filled && coarse.adjncy[pos] != cu) ++pos;
         if (pos < filled) {
-          if (out_wgt != nullptr) out_wgt[pos] += fewgt[e];
+          coarse.ewgt[pos] += fewgt[e];
         } else {
-          out_adj[filled] = cu;
-          if (out_wgt != nullptr) out_wgt[filled] = fewgt[e];
-          ++filled;
+          coarse.adjncy.push_back(cu);
+          coarse.ewgt.push_back(fewgt[e]);
         }
       }
     }
-    return filled;
-  };
-
-  coarse.xadj.assign(static_cast<std::size_t>(coarse_count) + 1, 0);
-  pool->parallel_for_chunked(
-      static_cast<std::size_t>(coarse_count), grain,
-      [&](std::size_t begin, std::size_t stop) {
-        // Degree pass: count distinct coarse neighbors into a scratch
-        // list; a pair merges at most two short adjacency lists.
-        std::vector<std::int32_t> scratch(16);
-        for (std::size_t cv = begin; cv < stop; ++cv) {
-          const std::int32_t c = static_cast<std::int32_t>(cv);
-          const std::int64_t cap =
-              (members[cv][0] != -1 ? fxadj[members[cv][0] + 1] -
-                                          fxadj[members[cv][0]]
-                                    : 0) +
-              (members[cv][1] != -1 ? fxadj[members[cv][1] + 1] -
-                                          fxadj[members[cv][1]]
-                                    : 0);
-          if (static_cast<std::size_t>(cap) > scratch.size()) {
-            scratch.resize(static_cast<std::size_t>(cap));
-          }
-          coarse.xadj[cv + 1] = emit(c, scratch.data(), nullptr);
-        }
-      });
-  for (std::size_t cv = 0; cv < static_cast<std::size_t>(coarse_count); ++cv) {
-    coarse.xadj[cv + 1] += coarse.xadj[cv];
+    coarse.xadj.push_back(static_cast<std::int64_t>(coarse.adjncy.size()));
   }
-  coarse.adjncy.resize(static_cast<std::size_t>(coarse.xadj.back()));
-  coarse.ewgt.resize(static_cast<std::size_t>(coarse.xadj.back()));
-  pool->parallel_for_chunked(
-      static_cast<std::size_t>(coarse_count), grain,
-      [&](std::size_t begin, std::size_t stop) {
-        for (std::size_t cv = begin; cv < stop; ++cv) {
-          emit(static_cast<std::int32_t>(cv),
-               coarse.adjncy.data() + coarse.xadj[cv],
-               coarse.ewgt.data() + coarse.xadj[cv]);
-        }
-      });
   return step;
 }
 
@@ -409,17 +264,38 @@ std::vector<PeId> initial_partition(const Graph& graph, std::int32_t parts,
 /// the overweight test, and the never-empty guard), which lets vertices
 /// ignore irrelevant weight drift in non-overweight parts.
 ///
-/// FM refinement is the single largest cost of a cold run (1.22 s of
-/// 1.96 s in BENCH_PR5), so it carries the partition.fm.* probes:
-/// counters accumulate in locals and record once per call, keeping the
-/// move loop free of atomics and the move sequence bit-identical.
+/// A pass does not scan all vertices for stale ones: every change that
+/// can make a boundary vertex stale also sets its bit in a dirty
+/// bitmap, and the pass walks the set bits in ascending order. A bit set
+/// behind the cursor waits for the next pass, exactly when a full scan
+/// would reach that vertex again, and every popped vertex still goes
+/// through the boundary and staleness tests, so the bitmap only has to
+/// be a superset of the stale boundary vertices for the visit order and
+/// every decision to be those of the full scan. The changes are:
+///  - a move marks the moved vertex and its neighbors (their `part`,
+///    `moved_stamp` and boundary inputs);
+///  - a `danger_stamp` bump on a part marks every boundary vertex
+///    touching it (lying in it or next to it);
+///  - a `weight_stamp` bump marks only the touching vertices that lie
+///    in an overweight part, the only ones that read weight stamps. A
+///    part turning overweight bumps its danger stamp, which marks its
+///    own vertices at the moment they start reading weight stamps.
+/// `touching[p]` lists the boundary vertices touching part p. A vertex
+/// only turns boundary or gains a touched part when a neighbor moves,
+/// so the lists grow by appends at moves and never need pruning: a
+/// stale entry costs one extra visit, never a wrong decision.
+///
+/// FM refinement is the single largest cost of a cold run, so it
+/// carries the partition.fm.* probes: counters accumulate in locals and
+/// record once per call, keeping the move loop free of atomics.
 // krak: hot
 void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
-            double max_imbalance, util::ThreadPool* pool) {
+            double max_imbalance) {
   const util::Stopwatch fm_watch;
   std::int64_t fm_passes = 0;
   std::int64_t fm_moves = 0;
-  std::int64_t fm_proposals_reused = 0;
+  std::int64_t fm_visits = 0;
+  std::int64_t fm_evaluations = 0;
   const std::int32_t n = graph.num_vertices();
   const std::int64_t total = graph.total_vertex_weight();
   const auto ceiling = static_cast<std::int64_t>(
@@ -430,6 +306,8 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     weight[static_cast<std::size_t>(part[static_cast<std::size_t>(v)])] +=
         graph.vwgt[static_cast<std::size_t>(v)];
   }
+  std::int32_t overweight_parts = 0;
+  for (const std::int64_t w : weight) overweight_parts += w > ceiling ? 1 : 0;
 
   // Connection weight of v to each part, computed on demand. `touched`
   // (the parts v connects to, in first-occurrence order — the move
@@ -454,18 +332,30 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     }
     return 0;
   };
+
+  std::vector<std::uint64_t> dirty((static_cast<std::size_t>(n) + 63) / 64, 0);
+  const auto mark = [&dirty](std::int32_t v) {
+    dirty[static_cast<std::size_t>(v) >> 6] |= std::uint64_t{1} << (v & 63);
+  };
+  std::vector<std::vector<std::int32_t>> touching(
+      static_cast<std::size_t>(parts));
+  // Appends of one vertex come in a run, so checking the last entry
+  // drops most duplicates.
+  const auto note_touch = [&touching](PeId p, std::int32_t v) {
+    std::vector<std::int32_t>& list = touching[static_cast<std::size_t>(p)];
+    if (list.empty() || list.back() != v) list.push_back(v);
+  };
+
+  // Every vertex starts unevaluated, so every boundary vertex is dirty.
   std::vector<char> boundary(static_cast<std::size_t>(n));
-  if (pool != nullptr) {
-    pool->parallel_for_chunked(static_cast<std::size_t>(n), 4096,
-                               [&](std::size_t begin, std::size_t end) {
-                                 for (std::size_t v = begin; v < end; ++v) {
-                                   boundary[v] = is_boundary(
-                                       static_cast<std::int32_t>(v));
-                                 }
-                               });
-  } else {
-    for (std::int32_t v = 0; v < n; ++v) {
-      boundary[static_cast<std::size_t>(v)] = is_boundary(v);
+  for (std::int32_t v = 0; v < n; ++v) {
+    boundary[static_cast<std::size_t>(v)] = is_boundary(v);
+    if (boundary[static_cast<std::size_t>(v)] == 0) continue;
+    mark(v);
+    note_touch(part[static_cast<std::size_t>(v)], v);
+    for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
+      const PeId p = part[static_cast<std::size_t>(adjncy[e])];
+      if (p != part[static_cast<std::size_t>(v)]) note_touch(p, v);
     }
   }
 
@@ -480,19 +370,33 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
   std::uint32_t move_counter = 1;
 
   // Advance a part's stamps after its weight changed from old_w to
-  // new_w. The danger stamp moves only when the change can flip a
-  // predicate some vertex's decision reads: the ceiling filter
-  // (weight + vw > ceiling for vw in [1, max_vw]), the overweight test
-  // (weight > ceiling), or the never-empty guard (weight - vw > 0).
+  // new_w, and mark the vertices the bump can make stale. The danger
+  // stamp moves only when the change can flip a predicate some vertex's
+  // decision reads: the ceiling filter (weight + vw > ceiling for vw in
+  // [1, max_vw]), the overweight test (weight > ceiling), or the
+  // never-empty guard (weight - vw > 0). While the first of a move's two
+  // bumps runs, `overweight_parts` lags the second part's change; that
+  // part only turns overweight with an overweight flip, whose danger
+  // bump marks everything the lag could skip.
   const auto bump_part = [&](PeId p, std::int64_t old_w, std::int64_t new_w) {
     weight_stamp[static_cast<std::size_t>(p)] = move_counter;
+    overweight_parts += (new_w > ceiling ? 1 : 0) - (old_w > ceiling ? 1 : 0);
     const std::int64_t lo = std::min(old_w, new_w);
     const std::int64_t hi = std::max(old_w, new_w);
     const bool ceiling_flip = lo <= ceiling - 1 && hi > ceiling - max_vw;
     const bool overweight_flip = lo <= ceiling && hi > ceiling;
     const bool empty_flip = lo <= max_vw && hi > 1;
+    const std::vector<std::int32_t>& list = touching[static_cast<std::size_t>(p)];
     if (ceiling_flip || overweight_flip || empty_flip) {
       danger_stamp[static_cast<std::size_t>(p)] = move_counter;
+      for (const std::int32_t v : list) mark(v);
+    } else if (overweight_parts > 0) {
+      for (const std::int32_t v : list) {
+        if (weight[static_cast<std::size_t>(part[static_cast<std::size_t>(v)])] >
+            ceiling) {
+          mark(v);
+        }
+      }
     }
   };
 
@@ -517,23 +421,18 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     return false;
   };
 
-  // The move decision of the serial algorithm, computed against the
-  // current assignment with caller-provided scratch. Returns `from`
+  // The move decision against the current assignment. Returns `from`
   // for "stay".
-  const auto evaluate_move = [&](std::int32_t v,
-                                 std::vector<std::int64_t>& conn_scratch,
-                                 std::vector<PeId>& touched_scratch) -> PeId {
+  const auto evaluate_move = [&](std::int32_t v) -> PeId {
     const PeId from = part[static_cast<std::size_t>(v)];
-    touched_scratch.clear();
+    touched.clear();
     for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
       const PeId p = part[static_cast<std::size_t>(adjncy[e])];
-      if (conn_scratch[static_cast<std::size_t>(p)] == 0) {
-        touched_scratch.push_back(p);
-      }
-      conn_scratch[static_cast<std::size_t>(p)] += ewgt[e];
+      if (conn[static_cast<std::size_t>(p)] == 0) touched.push_back(p);
+      conn[static_cast<std::size_t>(p)] += ewgt[e];
     }
     const std::int64_t vw = graph.vwgt[static_cast<std::size_t>(v)];
-    const std::int64_t internal = conn_scratch[static_cast<std::size_t>(from)];
+    const std::int64_t internal = conn[static_cast<std::size_t>(from)];
     PeId best_part = from;
     std::int64_t best_gain = 0;
     if (weight[static_cast<std::size_t>(from)] > ceiling) {
@@ -542,10 +441,9 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
       // moves are allowed — restoring balance beats edge cut here
       // (Metis behaves the same way).
       std::int64_t best_weight = weight[static_cast<std::size_t>(from)] - vw;
-      for (PeId p : touched_scratch) {
+      for (PeId p : touched) {
         if (p == from) continue;
-        const std::int64_t gain =
-            conn_scratch[static_cast<std::size_t>(p)] - internal;
+        const std::int64_t gain = conn[static_cast<std::size_t>(p)] - internal;
         const std::int64_t w = weight[static_cast<std::size_t>(p)];
         if (w + vw >= weight[static_cast<std::size_t>(from)]) continue;
         if (w < best_weight ||
@@ -556,10 +454,9 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
         }
       }
     } else {
-      for (PeId p : touched_scratch) {
+      for (PeId p : touched) {
         if (p == from) continue;
-        const std::int64_t gain =
-            conn_scratch[static_cast<std::size_t>(p)] - internal;
+        const std::int64_t gain = conn[static_cast<std::size_t>(p)] - internal;
         if (weight[static_cast<std::size_t>(p)] + vw > ceiling) continue;
         if (gain > best_gain) {
           best_gain = gain;
@@ -567,83 +464,60 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
         }
       }
     }
-    for (PeId p : touched_scratch) conn_scratch[static_cast<std::size_t>(p)] = 0;
+    for (PeId p : touched) conn[static_cast<std::size_t>(p)] = 0;
     return best_part;
   };
-
-  // Speculative parallel gain recomputation (pool mode): before each
-  // serial pass, workers evaluate every vertex the pass will visit
-  // against the pass-start state. The serial walk reuses a proposal
-  // only when the same stamp check proves the vertex's decision inputs
-  // did not change after the snapshot — the exactness argument is the
-  // cross-pass skip's, applied within a pass — and recomputes the rest
-  // in place, so the applied move sequence is the serial one.
-  std::vector<PeId> proposal;
-  std::vector<char> has_proposal;
-  if (pool != nullptr) {
-    proposal.resize(static_cast<std::size_t>(n));
-    has_proposal.resize(static_cast<std::size_t>(n));
-  }
 
   constexpr int kMaxPasses = 32;
   for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++fm_passes;
     bool moved_any = false;
-    const std::uint32_t pass_stamp = move_counter;
-    if (pool != nullptr) {
-      const std::size_t grain = std::max<std::size_t>(
-          4096, static_cast<std::size_t>(n) / (pool->thread_count() * 4));
-      pool->parallel_for_chunked(
-          static_cast<std::size_t>(n), grain,
-          [&](std::size_t begin, std::size_t end) {
-            std::vector<std::int64_t> conn_scratch(
-                static_cast<std::size_t>(parts), 0);
-            std::vector<PeId> touched_scratch;
-            for (std::size_t i = begin; i < end; ++i) {
-              const auto v = static_cast<std::int32_t>(i);
-              has_proposal[i] = 0;
-              if (!boundary[i]) continue;
-              if (!is_stale(v, vertex_stamp[i])) continue;
-              proposal[i] = evaluate_move(v, conn_scratch, touched_scratch);
-              has_proposal[i] = 1;
-            }
-          });
-    }
-    for (std::int32_t v = 0; v < n; ++v) {
+    std::size_t next = 0;  // lowest vertex this pass may still visit
+    while (next < static_cast<std::size_t>(n)) {
+      const std::size_t word = next >> 6;
+      const std::uint64_t bits = dirty[word] & (~std::uint64_t{0} << (next & 63));
+      if (bits == 0) {
+        next = (word + 1) << 6;
+        continue;
+      }
+      const auto v = static_cast<std::int32_t>((word << 6) +
+                                               std::countr_zero(bits));
+      dirty[word] &= ~(std::uint64_t{1} << (v & 63));
+      next = static_cast<std::size_t>(v) + 1;
+      ++fm_visits;
       if (!boundary[static_cast<std::size_t>(v)]) continue;
       if (!is_stale(v, vertex_stamp[static_cast<std::size_t>(v)])) continue;
+      ++fm_evaluations;
       const PeId from = part[static_cast<std::size_t>(v)];
-      PeId best_part = from;
-      if (pool != nullptr && has_proposal[static_cast<std::size_t>(v)] != 0 &&
-          !is_stale(v, pass_stamp)) {
-        best_part = proposal[static_cast<std::size_t>(v)];
-        ++fm_proposals_reused;
-      } else {
-        best_part = evaluate_move(v, conn, touched);
-      }
+      const PeId best_part = evaluate_move(v);
       vertex_stamp[static_cast<std::size_t>(v)] = move_counter;
-      if (best_part != from) {
-        const std::int64_t vw = graph.vwgt[static_cast<std::size_t>(v)];
-        // Never empty a part: the model indexes every PE.
-        if (weight[static_cast<std::size_t>(from)] - vw > 0) {
-          part[static_cast<std::size_t>(v)] = best_part;
-          ++move_counter;
-          moved_stamp[static_cast<std::size_t>(v)] = move_counter;
-          const std::int64_t old_from = weight[static_cast<std::size_t>(from)];
-          const std::int64_t old_to =
-              weight[static_cast<std::size_t>(best_part)];
-          weight[static_cast<std::size_t>(from)] -= vw;
-          weight[static_cast<std::size_t>(best_part)] += vw;
-          bump_part(from, old_from, old_from - vw);
-          bump_part(best_part, old_to, old_to + vw);
-          moved_any = true;
-          ++fm_moves;
-          boundary[static_cast<std::size_t>(v)] = is_boundary(v);
-          for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
-            const std::int32_t u = adjncy[e];
-            boundary[static_cast<std::size_t>(u)] = is_boundary(u);
-          }
-        }
+      if (best_part == from) continue;
+      const std::int64_t vw = graph.vwgt[static_cast<std::size_t>(v)];
+      // Never empty a part: the model indexes every PE.
+      const std::int64_t old_from = weight[static_cast<std::size_t>(from)];
+      if (old_from - vw <= 0) continue;
+      const std::int64_t old_to = weight[static_cast<std::size_t>(best_part)];
+      part[static_cast<std::size_t>(v)] = best_part;
+      ++move_counter;
+      moved_stamp[static_cast<std::size_t>(v)] = move_counter;
+      weight[static_cast<std::size_t>(from)] = old_from - vw;
+      weight[static_cast<std::size_t>(best_part)] = old_to + vw;
+      bump_part(from, old_from, old_from - vw);
+      bump_part(best_part, old_to, old_to + vw);
+      moved_any = true;
+      ++fm_moves;
+      boundary[static_cast<std::size_t>(v)] = is_boundary(v);
+      mark(v);
+      for (std::int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
+        const std::int32_t u = adjncy[e];
+        const char was_boundary = boundary[static_cast<std::size_t>(u)];
+        boundary[static_cast<std::size_t>(u)] = is_boundary(u);
+        mark(u);
+        // u now touches best_part through v; an interior u (all of
+        // its neighbors were in `from`) also starts touching its own.
+        const PeId pu = part[static_cast<std::size_t>(u)];
+        if (was_boundary == 0) note_touch(pu, u);
+        if (pu != best_part) note_touch(best_part, u);
       }
     }
     if (!moved_any) break;
@@ -653,7 +527,8 @@ void refine(const Graph& graph, std::int32_t parts, std::vector<PeId>& part,
     registry.timer("partition.fm.seconds").record(fm_watch.seconds());
     registry.counter("partition.fm.passes").add(fm_passes);
     registry.counter("partition.fm.moves").add(fm_moves);
-    registry.counter("partition.fm.proposals_reused").add(fm_proposals_reused);
+    registry.counter("partition.fm.visits").add(fm_visits);
+    registry.counter("partition.fm.evaluations").add(fm_evaluations);
   }
 }
 
@@ -793,13 +668,6 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
                             static_cast<std::size_t>(graph.num_vertices()), 0));
   }
 
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = nullptr;
-  if (options.threads > 1) {
-    local_pool.emplace(static_cast<std::size_t>(options.threads));
-    pool = &*local_pool;
-  }
-
   // Coarsen until the graph is small relative to the part count or
   // matching stops shrinking it, replaying cached ladder levels where
   // available.
@@ -838,7 +706,7 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
       break;
     }
     rng.restore(rng_state);
-    CoarseningStep step = coarsen_once(*levels.back(), rng, pool);
+    CoarseningStep step = coarsen_once(*levels.back(), rng);
     extended = true;
     if (step.coarse.num_vertices() >=
         levels.back()->num_vertices() * 19 / 20) {
@@ -876,7 +744,7 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
   const double init_seconds = init_watch.seconds();
 
   const util::Stopwatch refine_watch;
-  refine(*levels.back(), parts, part, kMaxImbalance, pool);
+  refine(*levels.back(), parts, part, kMaxImbalance);
 
   // Uncoarsen: project to each finer level and refine.
   for (std::size_t level = maps.size(); level-- > 0;) {
@@ -888,7 +756,7 @@ Partition partition_multilevel(const Graph& graph, std::int32_t parts,
           part[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
     }
     part = std::move(fine_part);
-    refine(fine, parts, part, kMaxImbalance, pool);
+    refine(fine, parts, part, kMaxImbalance);
   }
   const double refine_seconds = refine_watch.seconds();
 

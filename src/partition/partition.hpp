@@ -81,9 +81,9 @@ enum class PartitionMethod {
 /// Partition a deck's cells into `parts` subgrids.
 ///
 /// `seed` controls tie-breaking in the multilevel method; strip and RCB
-/// are fully deterministic regardless of seed. `threads` > 1 runs the
-/// multilevel method's speculative parallel paths; the assignment is
-/// bit-identical at every thread count (see partition_multilevel).
+/// are fully deterministic regardless of seed. `threads` is ignored: it
+/// is kept so existing callers still compile, and every method runs on
+/// the calling thread.
 [[nodiscard]] Partition partition_deck(const mesh::InputDeck& deck,
                                        std::int32_t parts,
                                        PartitionMethod method,
@@ -102,12 +102,6 @@ enum class PartitionMethod {
 /// Tuning knobs of the multilevel partitioner. The options never change
 /// the resulting assignment — they only change how fast it is computed.
 struct MultilevelOptions {
-  /// Worker threads for the speculative parallel paths (heavy-edge
-  /// matching, coarse-graph aggregation, FM gain recomputation). 1 runs
-  /// the fully serial reference path. Any value produces the assignment
-  /// the serial path produces, bit for bit; tests/partition enforces
-  /// this at 1/2/8 threads against checked-in checksums.
-  std::int32_t threads = 1;
   /// Identity token for the coarsening ladder cache (docs/
   /// PERFORMANCE.md). Two calls passing the same key assert that their
   /// input graphs are identical; partition_deck derives it from the
@@ -129,9 +123,9 @@ struct MultilevelOptions {
                                              std::uint64_t seed,
                                              const MultilevelOptions& options);
 
-/// Drop every cached coarsening ladder (test isolation; the determinism
-/// suite clears it between thread counts so parallel coarsening is
-/// genuinely re-executed rather than replayed from cache).
+/// Drop every cached coarsening ladder (test isolation: the determinism
+/// suite clears it so coarsening is genuinely re-executed rather than
+/// replayed from cache).
 void clear_multilevel_ladder_cache();
 
 /// Cost-aware multilevel partition: balances the model's per-cell

@@ -117,6 +117,31 @@ TEST(Synthetic, RejectsWhatTheLinterRejects) {
   EXPECT_EQ(read_synthetic(annotated).detonator, (Point{0.0, 4.0}));
 }
 
+TEST(Synthetic, RejectsGridsAboveTheCellLimit) {
+  // 2^40 cells: without the product bound this parsed, and the generator
+  // then tried to allocate every cell.
+  const std::string huge =
+      "kraksynth 1\ngrid 1048576 1048576\nlayer 0 1.0\nend\n";
+  util::DiagnosticReport report;
+  (void)parse_synthetic(huge, report);
+  EXPECT_EQ(report.error_count(), 1u);
+  EXPECT_TRUE(report.has_rule(rules::kSyntheticShape));
+  std::istringstream in(huge);
+  EXPECT_THROW((void)read_synthetic(in), util::KrakError);
+  EXPECT_THROW((void)make_synthetic_deck(paper_synthetic_spec(1 << 20, 1 << 20)),
+               util::KrakError);
+  // The limit itself is a valid shape, one row more is not.
+  util::DiagnosticReport at_limit;
+  (void)parse_synthetic("kraksynth 1\ngrid 4096 4096\nlayer 0 1.0\nend\n",
+                        at_limit);
+  EXPECT_FALSE(at_limit.has_errors());
+  static_assert(std::int64_t{4096} * 4096 == kMaxSyntheticCells);
+  util::DiagnosticReport past_limit;
+  (void)parse_synthetic("kraksynth 1\ngrid 4096 4097\nlayer 0 1.0\nend\n",
+                        past_limit);
+  EXPECT_TRUE(past_limit.has_rule(rules::kSyntheticShape));
+}
+
 TEST(Synthetic, InvalidSpecRejectedByGenerator) {
   SyntheticSpec spec;
   spec.nx = 16;

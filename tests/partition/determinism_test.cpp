@@ -1,11 +1,10 @@
 // Determinism contract of the multilevel partitioner (docs/PERFORMANCE.md,
 // "Partitioner"): the assignment is a pure function of (graph, parts,
-// seed). The checksums below were produced by the fully serial
-// reference implementation; every speculative parallel path and the
-// coarsening ladder cache must reproduce them bit for bit at every
-// thread count. CI runs this suite under ThreadSanitizer as well, so a
-// data race in the parallel paths fails even when it happens to produce
-// the right answer.
+// seed). The checksums below were produced by the full-scan reference
+// refinement; the dirty-vertex worklist and the coarsening ladder cache
+// must reproduce them bit for bit. CI also runs this suite under
+// ThreadSanitizer, which covers the ladder cache shared between
+// concurrent campaign workers.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +12,7 @@
 #include <string>
 
 #include "mesh/deck.hpp"
+#include "obs/metrics.hpp"
 #include "partition/dualgraph.hpp"
 #include "partition/partition.hpp"
 
@@ -47,10 +47,12 @@ mesh::InputDeck make_deck(const std::string& name) {
 }
 
 // Every standard deck at its campaign PE counts (seed 1 is
-// ValidationConfig::partition_seed) plus the calibration configurations
-// (seed 2006 is CalibrationConfig::seed, medium deck). Recorded from
-// the serial reference implementation; any change here is a silent
-// change to every measured campaign value and must be deliberate.
+// ValidationConfig::partition_seed), the strong-scaling sweep's large
+// deck at 1024-4096 parts, the calibration configurations (seed 2006 is
+// CalibrationConfig::seed, medium deck), and the seeds the benchmark's
+// cold validation sweep samples (1001-4001). Recorded from the full-scan
+// reference refinement; any change here is a silent change to every
+// measured campaign value and must be deliberate.
 const ChecksumCase kCases[] = {
     {"small", 16, 1, 0x5f24542071c7e00cull},
     {"small", 64, 1, 0xb845599a67dcda90ull},
@@ -67,36 +69,86 @@ const ChecksumCase kCases[] = {
     {"large", 256, 1, 0xe3d46887b06451e2ull},
     {"large", 257, 1, 0xff2b8cc6ce54ea32ull},
     {"large", 512, 1, 0x58089e31eb230279ull},
+    {"large", 1024, 1, 0x0f33b7d939b4868dull},
+    {"large", 2048, 1, 0x6c2b83a8a2d19c2full},
+    {"large", 4096, 1, 0x2bdfbac9d1047623ull},
     {"medium", 8, 2006, 0x542b19cd811b8dbfull},
     {"medium", 64, 2006, 0x0dc23472cbf16999ull},
     {"medium", 512, 2006, 0x5ff37b31e4443d1aull},
     {"medium", 4096, 2006, 0xec9f2b457fb8db95ull},
+    {"medium", 128, 1001, 0x211d7fb0d85b0c5eull},
+    {"medium", 128, 2001, 0x1bbae7705d3991deull},
+    {"medium", 128, 3001, 0xba0e25a306fab665ull},
+    {"medium", 128, 4001, 0x0d688a21c7157903ull},
+    {"medium", 512, 1001, 0x2daf1c5bc8af9f8bull},
+    {"medium", 512, 2001, 0x805b482183ffcbceull},
+    {"medium", 512, 3001, 0x9e9b02e00f03ae26ull},
+    {"medium", 512, 4001, 0xf71555eabbf5bad6ull},
+    {"large", 512, 1001, 0xfd8b5cfecd72e91dull},
+    {"large", 512, 2001, 0x24f069f5ea90db8full},
+    {"large", 512, 3001, 0x12e9c80cf49ea571ull},
+    {"large", 512, 4001, 0x44816830bb733237ull},
 };
 
-class MultilevelDeterminismTest : public ::testing::TestWithParam<std::int32_t> {
-};
-
-TEST_P(MultilevelDeterminismTest, MatchesSerialReferenceChecksums) {
-  const std::int32_t threads = GetParam();
+TEST(MultilevelDeterminismTest, MatchesSerialReferenceChecksums) {
   // A cached ladder would replay coarsening instead of re-running it;
-  // clearing first makes each thread count genuinely exercise the
-  // parallel matching and aggregation paths.
+  // clearing first makes the first call per (deck, seed) coarsen.
   partition::clear_multilevel_ladder_cache();
   for (const ChecksumCase& c : kCases) {
     const mesh::InputDeck deck = make_deck(c.deck);
     const partition::Graph graph = partition::build_dual_graph(deck.grid());
-    partition::MultilevelOptions options;
-    options.threads = threads;
     const partition::Partition part =
-        partition::partition_multilevel(graph, c.parts, c.seed, options);
+        partition::partition_multilevel(graph, c.parts, c.seed);
     EXPECT_EQ(checksum_of(part), c.checksum)
-        << c.deck << " parts=" << c.parts << " seed=" << c.seed
-        << " threads=" << threads;
+        << c.deck << " parts=" << c.parts << " seed=" << c.seed;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, MultilevelDeterminismTest,
-                         ::testing::Values(1, 2, 8));
+// FM's work counters are deterministic, so they are pinned exactly:
+// passes and moves are the full-scan reference refinement's (any drift
+// means the move sequence changed), evaluations are the gain
+// evaluations the staleness test lets through (the same in any exact
+// scheduling of the pass), and visits are the worklist pops — the
+// work the worklist exists to cut; a full scan pops every vertex.
+struct FmWorkCase {
+  std::int32_t parts;
+  std::int64_t passes;
+  std::int64_t moves;
+  std::int64_t evaluations;
+  std::int64_t visits;
+};
+
+TEST(MultilevelDeterminismTest, FmWorkCountersArePinned) {
+  const FmWorkCase cases[] = {
+      {512, 171, 13041, 3250146, 3288145},
+      {1024, 166, 20103, 3767525, 3816964},
+  };
+  const mesh::InputDeck deck = make_deck("large");
+  const partition::Graph graph = partition::build_dual_graph(deck.grid());
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Registry& registry = obs::global_registry();
+  const auto counter = [&registry](const char* name) {
+    return registry.counter(name).value();
+  };
+  for (const FmWorkCase& c : cases) {
+    const std::int64_t passes = counter("partition.fm.passes");
+    const std::int64_t moves = counter("partition.fm.moves");
+    const std::int64_t evaluations = counter("partition.fm.evaluations");
+    const std::int64_t visits = counter("partition.fm.visits");
+    (void)partition::partition_multilevel(graph, c.parts, 1);
+    EXPECT_EQ(counter("partition.fm.passes") - passes, c.passes)
+        << "parts=" << c.parts;
+    EXPECT_EQ(counter("partition.fm.moves") - moves, c.moves)
+        << "parts=" << c.parts;
+    EXPECT_EQ(counter("partition.fm.evaluations") - evaluations,
+              c.evaluations)
+        << "parts=" << c.parts;
+    EXPECT_EQ(counter("partition.fm.visits") - visits, c.visits)
+        << "parts=" << c.parts;
+  }
+  obs::set_enabled(was_enabled);
+}
 
 // The ladder cache must be output-invariant when part counts of the
 // same (deck, seed) interleave: a larger part count stops higher up the
@@ -122,9 +174,8 @@ TEST(MultilevelLadderCacheTest, InterleavedPartCountsReplayExactly) {
   }
 }
 
-// partition_deck's threads parameter feeds the same machinery; the
-// derived ladder key (grid dimensions) must not change the result
-// either.
+// partition_deck's threads parameter is ignored, and the derived ladder
+// key (grid dimensions) must not change the result either.
 TEST(MultilevelLadderCacheTest, PartitionDeckThreadsAreOutputInvariant) {
   const mesh::InputDeck deck = make_deck("small");
   partition::clear_multilevel_ladder_cache();

@@ -109,8 +109,7 @@ int run(const util::ArgParser& args) {
   if (args.has("trace")) {
     const std::string trace = args.get_string("trace", "");
     if (trace == "corrupted") {
-      std::istringstream in(analyze::corrupted_trace_text());
-      (void)analyze::lint_trace(in, report);
+      (void)analyze::lint_trace(analyze::corrupted_trace_text(), report);
     } else {
       report = analyze::lint_trace_file(trace);
     }

@@ -1,13 +1,14 @@
 #include "analyze/lint_trace.hpp"
 
-#include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <tuple>
 
 #include "analyze/rules.hpp"
 #include "util/error.hpp"
+#include "util/text_format.hpp"
 
 namespace krak::analyze {
 
@@ -29,29 +30,9 @@ std::string line_component(std::size_t line) {
 
 }  // namespace
 
-TraceFile lint_trace(std::istream& in, DiagnosticReport& report) {
+TraceFile lint_trace(std::string_view text, DiagnosticReport& report) {
   TraceFile trace;
-  std::size_t line_number = 0;
-  std::string line;
-
-  // Header: magic + version.
-  if (!std::getline(in, line)) {
-    report.error(rules::kTraceFormat, "trace", "empty input, missing header");
-    return trace;
-  }
-  ++line_number;
-  {
-    std::istringstream hs(line);
-    std::string magic;
-    int version = 0;
-    if (!(hs >> magic >> version) || magic != kMagic || version != kVersion) {
-      report.error(rules::kTraceFormat, line_component(line_number),
-                   "expected header '" + std::string(kMagic) + " " +
-                       std::to_string(kVersion) + "', got '" + line + "'");
-      return trace;
-    }
-  }
-
+  bool saw_header = false;
   bool saw_ranks = false;
   bool saw_end = false;
   // Last timestamp seen per rank, for the monotonicity rule.
@@ -61,23 +42,36 @@ TraceFile lint_trace(std::istream& in, DiagnosticReport& report) {
            std::pair<std::int64_t, std::int64_t>>
       messages;
 
-  while (std::getline(in, line)) {
-    ++line_number;
-    std::istringstream ls(line);
-    std::string directive;
-    if (!(ls >> directive) || directive.front() == '#') continue;
+  util::LineReader reader(text);
+  util::TextLine line;
+  while (!saw_end && reader.next(line)) {
+    if (util::is_blank_or_comment(line.text)) continue;
+    const auto error = [&](const char* rule, const std::string& message) {
+      report.error(rule, line_component(line.number), message);
+    };
+    if (!saw_header) {
+      const std::string problem =
+          util::header_error(line.text, kMagic, kVersion);
+      if (!problem.empty()) {
+        error(rules::kTraceFormat, problem);
+        return trace;
+      }
+      saw_header = true;
+      continue;
+    }
+    util::Tokens tokens(line.text);
+    std::string_view directive;
+    (void)tokens.next(directive);  // a content line has a first token
     if (directive == "end") {
       saw_end = true;
-      break;
+      continue;
     }
     if (directive == "ranks") {
       std::int32_t ranks = 0;
-      if (!(ls >> ranks) || ranks < 1) {
-        report.error(rules::kTraceFormat, line_component(line_number),
-                     "'ranks' needs a positive rank count");
+      if (!tokens.next_number(ranks) || ranks < 1) {
+        error(rules::kTraceFormat, "'ranks' needs a positive rank count");
       } else if (saw_ranks) {
-        report.error(rules::kTraceFormat, line_component(line_number),
-                     "duplicate 'ranks' line");
+        error(rules::kTraceFormat, "duplicate 'ranks' line");
       } else {
         trace.ranks = ranks;
         saw_ranks = true;
@@ -85,81 +79,54 @@ TraceFile lint_trace(std::istream& in, DiagnosticReport& report) {
       continue;
     }
     if (directive != "op") {
-      report.error(rules::kTraceFormat, line_component(line_number),
-                   "unknown directive '" + directive + "'");
+      error(rules::kTraceFormat,
+            "unknown directive '" + std::string(directive) + "'");
       continue;
     }
     if (!saw_ranks) {
-      report.error(rules::kTraceFormat, line_component(line_number),
-                   "'op' before the 'ranks' line");
+      error(rules::kTraceFormat, "'op' before the 'ranks' line");
       continue;
     }
 
     TraceEvent event;
-    if (!(ls >> event.rank >> event.time_s >> event.kind)) {
-      report.error(rules::kTraceFormat, line_component(line_number),
-                   "expected 'op <rank> <t_seconds> <kind>'");
+    std::string_view kind;
+    if (!tokens.next_number(event.rank) || !tokens.next_number(event.time_s) ||
+        !tokens.next(kind)) {
+      error(rules::kTraceFormat, "expected 'op <rank> <t_seconds> <kind>'");
       continue;
     }
-    bool fields_ok = true;
-    std::string token;
-    while (ls >> token) {
-      const std::size_t eq = token.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-        report.error(rules::kTraceFormat, line_component(line_number),
-                     "bad field '" + token + "' (expected key=value)");
-        fields_ok = false;
-        break;
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      std::istringstream vs(value);
-      bool parsed = false;
-      if (key == "peer") {
-        parsed = static_cast<bool>(vs >> event.peer);
-      } else if (key == "tag") {
-        parsed = static_cast<bool>(vs >> event.tag);
-      } else if (key == "bytes") {
-        parsed = static_cast<bool>(vs >> event.bytes);
-      } else {
-        report.error(rules::kTraceFormat, line_component(line_number),
-                     "unknown field '" + key + "'");
-        fields_ok = false;
-        break;
-      }
-      if (!parsed || !vs.eof()) {
-        report.error(rules::kTraceFormat, line_component(line_number),
-                     "field " + key + "='" + value + "' is not a number");
-        fields_ok = false;
-        break;
-      }
+    event.kind = kind;
+    const std::string problem = util::read_key_values(
+        tokens, {{"peer", &event.peer, false},
+                 {"tag", &event.tag, false},
+                 {"bytes", &event.bytes, false}});
+    if (!problem.empty()) {
+      error(rules::kTraceFormat, problem);
+      continue;
     }
-    if (!fields_ok) continue;
 
     // Op-kind validity.
     const bool kind_known = known_kinds().count(event.kind) != 0;
     if (!kind_known) {
-      report.error(rules::kTraceOpKind, line_component(line_number),
-                   "unknown op kind '" + event.kind + "'");
+      error(rules::kTraceOpKind, "unknown op kind '" + event.kind + "'");
     }
 
     // Rank / peer bounds.
     bool rank_ok = event.rank >= 0 && event.rank < trace.ranks;
     if (!rank_ok) {
-      report.error(rules::kTraceRankBounds, line_component(line_number),
-                   "rank " + std::to_string(event.rank) +
-                       " outside [0, " + std::to_string(trace.ranks) + ")");
+      error(rules::kTraceRankBounds, "rank " + std::to_string(event.rank) +
+                                         " outside [0, " +
+                                         std::to_string(trace.ranks) + ")");
     }
     const bool point_to_point = event.kind == "isend" || event.kind == "recv";
     if (point_to_point) {
       if (event.peer < 0) {
-        report.error(rules::kTraceFormat, line_component(line_number),
-                     "'" + event.kind + "' needs a peer=P field");
+        error(rules::kTraceFormat, "'" + event.kind + "' needs a peer=P field");
         rank_ok = false;
       } else if (event.peer >= trace.ranks) {
-        report.error(rules::kTraceRankBounds, line_component(line_number),
-                     "peer " + std::to_string(event.peer) + " outside [0, " +
-                         std::to_string(trace.ranks) + ")");
+        error(rules::kTraceRankBounds,
+              "peer " + std::to_string(event.peer) + " outside [0, " +
+                  std::to_string(trace.ranks) + ")");
         rank_ok = false;
       }
     }
@@ -171,8 +138,7 @@ TraceFile lint_trace(std::istream& in, DiagnosticReport& report) {
         std::ostringstream os;
         os << "rank " << event.rank << " time went backwards: " << event.time_s
            << " after " << it->second;
-        report.error(rules::kTraceMonotoneTime, line_component(line_number),
-                     os.str());
+        error(rules::kTraceMonotoneTime, os.str());
       }
       last_time[event.rank] =
           std::max(event.time_s,
@@ -189,6 +155,10 @@ TraceFile lint_trace(std::istream& in, DiagnosticReport& report) {
     trace.events.push_back(std::move(event));
   }
 
+  if (!saw_header) {
+    report.error(rules::kTraceFormat, "trace", "empty input, missing header");
+    return trace;
+  }
   if (!saw_end) {
     report.error(rules::kTraceFormat, "trace",
                  "missing 'end' (file truncated?)");
@@ -212,13 +182,13 @@ TraceFile lint_trace(std::istream& in, DiagnosticReport& report) {
 
 DiagnosticReport lint_trace_file(const std::string& path) {
   DiagnosticReport report;
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = util::read_text_file(path);
+  if (!text.has_value()) {
     report.error(rules::kTraceFormat, "trace",
                  "cannot open " + path + ": " + util::errno_message());
     return report;
   }
-  (void)lint_trace(in, report);
+  (void)lint_trace(*text, report);
   return report;
 }
 

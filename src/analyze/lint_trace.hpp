@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analyze/findings.hpp"
@@ -36,16 +36,17 @@ struct TraceFile {
 ///   end
 ///
 /// Kinds mirror sim::OpKind: compute, isend, recv, waitall, allreduce,
-/// broadcast, gather, record. `#` starts a comment line.
+/// broadcast, gather, record. Blank lines and `#` comments may appear
+/// anywhere; nothing after `end` is read.
 ///
-/// Lint the trace in `in`, accumulating findings into `report`:
+/// Lint the trace in `text`, accumulating findings into `report`:
 /// structural problems (rules::kTraceFormat), per-rank timestamp
 /// monotonicity (rules::kTraceMonotoneTime), rank/peer bounds
 /// (rules::kTraceRankBounds), op-kind validity (rules::kTraceOpKind)
 /// and matched directed send/recv counts per (from, to, tag)
 /// (rules::kTraceSendRecvMatch). Returns the parsed file (events that
 /// failed to parse are skipped).
-TraceFile lint_trace(std::istream& in, DiagnosticReport& report);
+TraceFile lint_trace(std::string_view text, DiagnosticReport& report);
 
 /// Open `path` and lint it; a file that cannot be opened is a
 /// rules::kTraceFormat error naming the path and the OS cause.

@@ -2,6 +2,7 @@
 
 #include "core/campaign_journal.hpp"
 #include "core/partition_store.hpp"
+#include "fault/plan.hpp"
 #include "mesh/synthetic.hpp"
 
 namespace krak::analyze::rules {
@@ -115,13 +116,10 @@ using mesh::rules::kSyntheticShape;
 
 // --- fault-spec files (krakfaults 1, fault/plan.hpp) ----------------------
 
-/// Structural validity of a fault-spec file (parse failures).
-inline constexpr const char* kFaultSpecFormat = "fault-spec-format";
-/// Value ranges: slowdown factor >= 1, drop probability in [0, 1),
-/// bandwidth factor in (0, 1], non-negative durations and costs.
-inline constexpr const char* kFaultSpecRange = "fault-spec-range";
-/// Injection targets must exist: rank within the run, phase within the
-/// iteration, no wildcard rank where a single rank is required.
-inline constexpr const char* kFaultSpecTarget = "fault-spec-target";
+// One parser (fault::parse_fault_plan) and one range/target check
+// (fault::check_fault_plan), both in fault/; the ids live there.
+using fault::rules::kFaultSpecFormat;
+using fault::rules::kFaultSpecRange;
+using fault::rules::kFaultSpecTarget;
 
 }  // namespace krak::analyze::rules

@@ -67,17 +67,10 @@ PartitionEntry parse_partition_entry(std::string_view text,
     file_error(kPartitionStoreFormat, "empty input, missing header");
     return entry;
   }
-  {
-    util::Tokens tokens(line.text);
-    std::string_view magic;
-    std::string_view version;
-    std::string_view extra;
-    if (!tokens.next(magic) || magic != "krakpart" || !tokens.next(version) ||
-        version != "1" || tokens.next(extra)) {
-      error(kPartitionStoreFormat, "expected header 'krakpart 1', got '" +
-                                       std::string(line.text) + "'");
-      return entry;
-    }
+  if (const std::string problem = util::header_error(line.text, "krakpart", 1);
+      !problem.empty()) {
+    error(kPartitionStoreFormat, problem);
+    return entry;
   }
 
   // Fixed header fields, in the order the store writes them, each

@@ -1,9 +1,9 @@
 #include "core/table_io.hpp"
 
-#include <fstream>
 #include <iomanip>
 
 #include "util/error.hpp"
+#include "util/text_format.hpp"
 
 namespace krak::core {
 
@@ -12,8 +12,61 @@ namespace {
 constexpr std::string_view kMagic = "krakcosts";
 constexpr int kVersion = 1;
 
-[[noreturn]] void malformed(const std::string& what) {
-  throw util::KrakError("malformed cost table: " + what);
+/// The `krakcosts 1` parser behind read_cost_table and load_cost_table:
+/// throws KrakError("<context>malformed cost table: line N: ...") on the
+/// first violation.
+CostTable parse_cost_table(std::string_view text, const std::string& context) {
+  CostTable table;
+  bool saw_header = false;
+  bool saw_end = false;
+  util::LineReader reader(text);
+  util::TextLine line;
+  const auto fail = [&](const std::string& what) {
+    throw util::KrakError(context + "malformed cost table: " + what);
+  };
+  const auto require = [&](bool ok, const std::string& what) {
+    if (!ok) fail("line " + std::to_string(line.number) + ": " + what);
+  };
+  while (reader.next(line)) {
+    if (util::is_blank_or_comment(line.text)) continue;
+    if (!saw_header) {
+      const std::string problem =
+          util::header_error(line.text, kMagic, kVersion);
+      require(problem.empty(), problem);
+      saw_header = true;
+      continue;
+    }
+    require(!saw_end, "content after 'end'");
+    const std::vector<std::string_view> tokens = util::split_tokens(line.text);
+    if (tokens.size() == 1 && tokens[0] == "end") {
+      saw_end = true;
+      continue;
+    }
+    require(tokens[0] == "sample",
+            "unknown key '" + std::string(tokens[0]) + "'");
+    std::int32_t phase = 0;
+    std::size_t material_index = 0;
+    double cells = 0.0;
+    double cost = 0.0;
+    require(tokens.size() == 5 && util::parse_number(tokens[1], phase) &&
+                util::parse_number(tokens[2], material_index) &&
+                util::parse_number(tokens[3], cells) &&
+                util::parse_number(tokens[4], cost),
+            "expected 'sample <phase> <material-index> <cells> "
+            "<per-cell-seconds>', got '" +
+                std::string(line.text) + "'");
+    require(phase >= 1 && phase <= simapp::kPhaseCount,
+            "phase out of range: " + std::to_string(phase));
+    require(material_index < mesh::kMaterialCount,
+            "material index out of range: " + std::to_string(material_index));
+    require(cells > 0.0, "non-positive sample size");
+    require(cost >= 0.0, "negative per-cell cost");
+    table.add_sample(phase, mesh::material_from_index(material_index), cells,
+                     cost);
+  }
+  if (!saw_header) fail("missing header");
+  if (!saw_end) fail("missing 'end'");
+  return table;
 }
 
 }  // namespace
@@ -36,68 +89,20 @@ void write_cost_table(std::ostream& out, const CostTable& table) {
 }
 
 void save_cost_table(const std::string& path, const CostTable& table) {
-  std::ofstream out(path);
-  if (!out) {
-    throw util::KrakError("save_cost_table: cannot open " + path + ": " +
-                          util::errno_message());
-  }
-  write_cost_table(out, table);
+  util::save_text_file(path, "save_cost_table", [&](std::ostream& out) {
+    write_cost_table(out, table);
+  });
 }
 
 CostTable read_cost_table(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version)) malformed("missing header");
-  if (magic != kMagic) malformed("bad magic '" + magic + "'");
-  if (version != kVersion) {
-    malformed("unsupported version " + std::to_string(version));
-  }
-
-  CostTable table;
-  std::string key;
-  bool saw_end = false;
-  while (in >> key) {
-    if (key == "end") {
-      saw_end = true;
-      break;
-    }
-    if (key != "sample") malformed("unknown key '" + key + "'");
-    std::int32_t phase = 0;
-    std::size_t material_index = 0;
-    double cells = 0.0;
-    double cost = 0.0;
-    if (!(in >> phase >> material_index >> cells >> cost)) {
-      malformed("truncated sample line");
-    }
-    if (phase < 1 || phase > simapp::kPhaseCount) {
-      malformed("phase out of range: " + std::to_string(phase));
-    }
-    if (material_index >= mesh::kMaterialCount) {
-      malformed("material index out of range: " +
-                std::to_string(material_index));
-    }
-    if (cells <= 0.0) malformed("non-positive sample size");
-    if (cost < 0.0) malformed("negative per-cell cost");
-    table.add_sample(phase, mesh::material_from_index(material_index), cells,
-                     cost);
-  }
-  if (!saw_end) malformed("missing 'end'");
-  return table;
+  return parse_cost_table(util::read_stream(in), "");
 }
 
 CostTable load_cost_table(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw util::KrakError("load_cost_table: cannot open " + path + ": " +
-                          util::errno_message());
-  }
   // Name the file in parse errors so a truncated table on disk is a
   // one-line diagnosis, not a hunt.
-  try {
-    return read_cost_table(in);
-  } catch (const util::KrakError& error) {
-    throw util::KrakError("load_cost_table: " + path + ": " + error.what());
-  }
+  return parse_cost_table(util::load_text_file(path, "load_cost_table"),
+                          "load_cost_table: " + path + ": ");
 }
 
 }  // namespace krak::core

@@ -3,9 +3,32 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/diagnostic.hpp"
+
 namespace krak::fault {
+
+namespace rules {
+
+/// Rule ids of the `krakfaults 1` parser and of check_fault_plan;
+/// docs/ANALYSIS.md documents them and analyze/rules.hpp re-exports them.
+///
+/// Structural validity of a fault-spec file: header, known directives
+/// and fields, no duplicate fields, numbers that parse into their field's
+/// type (a rank past int32 or a negative seed is an error, not a wrap),
+/// terminating `end` with nothing after it.
+inline constexpr const char* kFaultSpecFormat = "fault-spec-format";
+/// Value ranges: slowdown factor >= 1, drop probability in [0, 1),
+/// bandwidth factor in (0, 1], non-negative durations, costs, retries,
+/// checkpoint intervals and watchdog bounds; every number finite.
+inline constexpr const char* kFaultSpecRange = "fault-spec-range";
+/// Injection targets must exist: rank within the run, phase within the
+/// iteration, no wildcard rank where a single rank is required.
+inline constexpr const char* kFaultSpecTarget = "fault-spec-target";
+
+}  // namespace rules
 
 /// Wildcard rank: the injection applies to every rank.
 inline constexpr std::int32_t kAllRanks = -1;
@@ -66,14 +89,14 @@ struct NicDegrade {
 /// Rank crash at an exact (rank, phase, iteration) with an analytic
 /// checkpoint/restart cost charged to `recovery`: restart_s plus the
 /// expected rework. With a checkpoint interval I the expected rework is
-/// I/2 (Daly's first-order model); without one (interval <= 0) the rank
-/// recomputes everything since t = 0.
+/// I/2 (Daly's first-order model); without one (interval 0) the rank
+/// recomputes everything since t = 0. A negative interval is an error.
 struct RankCrash {
   std::int32_t rank = 0;
   std::int32_t phase = 1;
   std::int32_t iteration = 0;
   double restart_s = 0.0;
-  double checkpoint_interval_s = 0.0;  ///< <= 0: no checkpointing
+  double checkpoint_interval_s = 0.0;  ///< 0: no checkpointing; >= 0
 };
 
 /// A deterministic, seedable fault-injection plan (docs/RESILIENCE.md).
@@ -89,8 +112,8 @@ struct FaultPlan {
   std::vector<MessageFaultModel> message_faults;
   std::vector<NicDegrade> degrades;
   std::vector<RankCrash> crashes;
-  /// Watchdog bound on simulated time; <= 0 disables (see
-  /// sim::WatchdogConfig::max_sim_seconds).
+  /// Watchdog bound on simulated time; 0 disables it, negative is an
+  /// error (see sim::WatchdogConfig::max_sim_seconds).
   double max_sim_seconds = 0.0;
 
   [[nodiscard]] bool empty() const {
@@ -120,13 +143,34 @@ struct FaultPlan {
 ///
 /// `rank=*` targets every rank. Unknown directives and keys are errors
 /// (no silent skipping: a typo must not quietly weaken an experiment).
+/// Blank lines and `#` comments may appear anywhere; nothing else may
+/// follow `end`.
 
-/// Serialize a plan. Throws KrakError on stream failure.
+/// The one range and target check of a plan, shared by InjectionEngine
+/// (which throws on the first error) and the `krak_analyze --faults`
+/// linter: every violation lands in `report` as a rules::kFaultSpecRange
+/// or rules::kFaultSpecTarget error. Every number must be finite. `ranks`
+/// bounds the rank targets and `phases_per_iteration` the phase targets;
+/// 0 skips that bound (a spec linted without a run context).
+void check_fault_plan(const FaultPlan& plan, std::int32_t ranks,
+                      std::int32_t phases_per_iteration,
+                      util::DiagnosticReport& report);
+
+/// Serialize a plan with every double at full precision, so it reads
+/// back bit for bit. Throws KrakError on stream failure.
 void write_fault_plan(std::ostream& out, const FaultPlan& plan);
 void save_fault_plan(const std::string& path, const FaultPlan& plan);
 
-/// Parse a plan; throws KrakError naming the offending line on
-/// malformed input. load_fault_plan prefixes the path and cause.
+/// The one `krakfaults 1` parser: every structural violation lands in
+/// `report` as a rules::kFaultSpecFormat error with its line, and a
+/// directive with one is left out of the plan. A missing or wrong header
+/// stops the parse. Value ranges are check_fault_plan's job.
+[[nodiscard]] FaultPlan parse_fault_plan(std::string_view text,
+                                         util::DiagnosticReport& report);
+
+/// Parse a plan; throws KrakError("malformed fault spec: ...") naming
+/// the first error parse_fault_plan reports. load_fault_plan prefixes
+/// the path.
 [[nodiscard]] FaultPlan parse_fault_plan(std::istream& in);
 [[nodiscard]] FaultPlan load_fault_plan(const std::string& path);
 
@@ -136,7 +180,7 @@ void save_fault_plan(const std::string& path, const FaultPlan& plan);
                                            double mtbf_s);
 
 /// Expected cost of recovering from one crash under a checkpoint
-/// interval I: restart plus I/2 of rework; with I <= 0 the rework is
+/// interval I: restart plus I/2 of rework; with I = 0 the rework is
 /// `elapsed_s` (recompute everything).
 [[nodiscard]] double expected_recovery_cost(double restart_s,
                                             double checkpoint_interval_s,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,12 @@ enum class DeckSize {
 };
 
 [[nodiscard]] std::string_view deck_size_name(DeckSize size);
+
+/// Largest grid any deck may have, in cells, whether read from a
+/// `krakdeck` file or generated from a `kraksynth` spec: 16x the largest
+/// deck the benches build (2048 x 512), and small enough that a mistyped
+/// file fails with an error instead of an allocation of terabytes.
+inline constexpr std::int64_t kMaxDeckCells = std::int64_t{1} << 24;
 
 /// An input deck: a grid plus one material per cell and a detonator
 /// location (Section 2.1). Immutable after construction.

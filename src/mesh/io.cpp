@@ -1,10 +1,11 @@
 #include "mesh/io.hpp"
 
-#include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/table.hpp"
+#include "util/text_format.hpp"
 
 namespace krak::mesh {
 
@@ -13,8 +14,96 @@ namespace {
 constexpr std::string_view kMagic = "krakdeck";
 constexpr int kVersion = 1;
 
-[[noreturn]] void malformed(const std::string& what) {
-  throw util::KrakError("malformed deck: " + what);
+/// The `krakdeck 1` parser behind read_deck and load_deck: throws
+/// KrakError("<context>malformed deck: line N: ...") on the first
+/// violation.
+InputDeck parse_deck(std::string_view text, const std::string& context) {
+  std::string name = "unnamed";
+  std::int32_t nx = 0;
+  std::int32_t ny = 0;
+  Point detonator;
+  std::vector<Material> materials;
+  bool saw_header = false;
+  bool saw_grid = false;
+  bool saw_materials = false;
+  bool saw_end = false;
+
+  util::LineReader reader(text);
+  util::TextLine line;
+  const auto fail = [&](const std::string& what) {
+    throw util::KrakError(context + "malformed deck: " + what);
+  };
+  const auto require = [&](bool ok, const std::string& what) {
+    if (!ok) fail("line " + std::to_string(line.number) + ": " + what);
+  };
+  while (reader.next(line)) {
+    if (util::is_blank_or_comment(line.text)) continue;
+    if (!saw_header) {
+      const std::string problem =
+          util::header_error(line.text, kMagic, kVersion);
+      require(problem.empty(), problem);
+      saw_header = true;
+      continue;
+    }
+    require(!saw_end, "content after 'end'");
+    const std::vector<std::string_view> tokens = util::split_tokens(line.text);
+    const std::string_view key = tokens.front();
+    const auto quoted = [&] { return "'" + std::string(line.text) + "'"; };
+    if (key == "name") {
+      require(tokens.size() == 2, "'name' needs one value, got " + quoted());
+      name = tokens[1];
+    } else if (key == "grid") {
+      require(!saw_grid, "duplicate 'grid' line");
+      require(tokens.size() == 3 && util::parse_number(tokens[1], nx) &&
+                  util::parse_number(tokens[2], ny),
+              "'grid' needs two integer dimensions, got " + quoted());
+      require(nx > 0 && ny > 0, "non-positive grid dimensions");
+      require(std::int64_t{nx} * ny <= kMaxDeckCells,
+              "grid " + std::to_string(nx) + " x " + std::to_string(ny) +
+                  " exceeds the limit of " + std::to_string(kMaxDeckCells) +
+                  " cells");
+      saw_grid = true;
+    } else if (key == "detonator") {
+      require(tokens.size() == 3 &&
+                  util::parse_number(tokens[1], detonator.x) &&
+                  util::parse_number(tokens[2], detonator.y),
+              "'detonator' needs two coordinates, got " + quoted());
+    } else if (key == "materials") {
+      require(saw_grid, "materials before grid");
+      require(!saw_materials, "duplicate 'materials' line");
+      saw_materials = true;
+      const auto cells = static_cast<std::size_t>(std::int64_t{nx} * ny);
+      materials.reserve(cells);
+      for (std::size_t t = 1; t < tokens.size(); ++t) {
+        const std::string_view token = tokens[t];
+        const std::size_t x_pos = token.find('x');
+        std::size_t run = 0;
+        std::size_t index = 0;
+        require(x_pos != std::string_view::npos &&
+                    util::parse_number(token.substr(0, x_pos), run) &&
+                    util::parse_number(token.substr(x_pos + 1), index),
+                "bad run-length token '" + std::string(token) + "'");
+        require(run > 0, "zero-length run");
+        require(index < kMaterialCount,
+                "unknown material index " + std::to_string(index));
+        // run <= cells - size cannot overflow: size never exceeds cells.
+        require(run <= cells - materials.size(), "materials exceed cell count");
+        materials.insert(materials.end(), run, material_from_index(index));
+      }
+      require(materials.size() == cells,
+              "materials cover " + std::to_string(materials.size()) +
+                  " of " + std::to_string(cells) + " cells");
+    } else {
+      require(key == "end" && tokens.size() == 1,
+              "unknown key '" + std::string(key) + "'");
+      saw_end = true;
+    }
+  }
+  if (!saw_header) fail("missing header");
+  if (!saw_end) fail("missing 'end'");
+  if (!saw_grid) fail("missing 'grid'");
+  if (!saw_materials) fail("missing 'materials'");
+  return InputDeck(name, Grid(nx, ny), std::move(materials), detonator);
 }
 
 }  // namespace
@@ -28,8 +117,9 @@ void write_deck(std::ostream& out, const InputDeck& deck) {
   }
   out << "name " << name << "\n";
   out << "grid " << deck.grid().nx() << " " << deck.grid().ny() << "\n";
-  out << "detonator " << deck.detonator().x << " " << deck.detonator().y
-      << "\n";
+  // Full precision, so the detonator reads back bit for bit.
+  out << "detonator " << std::setprecision(17) << deck.detonator().x << " "
+      << deck.detonator().y << "\n";
   out << "materials";
   const auto& materials = deck.materials();
   std::size_t i = 0;
@@ -46,102 +136,18 @@ void write_deck(std::ostream& out, const InputDeck& deck) {
 }
 
 void save_deck(const std::string& path, const InputDeck& deck) {
-  std::ofstream out(path);
-  if (!out) {
-    throw util::KrakError("save_deck: cannot open " + path + ": " +
-                          util::errno_message());
-  }
-  write_deck(out, deck);
+  util::save_text_file(path, "save_deck",
+                       [&](std::ostream& out) { write_deck(out, deck); });
 }
 
 InputDeck read_deck(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version)) malformed("missing header");
-  if (magic != kMagic) malformed("bad magic '" + magic + "'");
-  if (version != kVersion) {
-    malformed("unsupported version " + std::to_string(version));
-  }
-
-  std::string name;
-  std::int32_t nx = 0;
-  std::int32_t ny = 0;
-  Point detonator;
-  std::vector<Material> materials;
-  bool saw_grid = false;
-  bool saw_end = false;
-
-  std::string key;
-  while (in >> key) {
-    if (key == "name") {
-      if (!(in >> name)) malformed("missing name value");
-    } else if (key == "grid") {
-      if (!(in >> nx >> ny)) malformed("missing grid dimensions");
-      if (nx <= 0 || ny <= 0) malformed("non-positive grid dimensions");
-      saw_grid = true;
-    } else if (key == "detonator") {
-      if (!(in >> detonator.x >> detonator.y)) {
-        malformed("missing detonator coordinates");
-      }
-    } else if (key == "materials") {
-      if (!saw_grid) malformed("materials before grid");
-      const auto expected =
-          static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
-      materials.reserve(expected);
-      while (materials.size() < expected) {
-        std::string token;
-        if (!(in >> token)) malformed("truncated materials section");
-        const std::size_t x_pos = token.find('x');
-        if (x_pos == std::string::npos || x_pos == 0 ||
-            x_pos + 1 >= token.size()) {
-          malformed("bad run-length token '" + token + "'");
-        }
-        std::size_t run = 0;
-        std::size_t index = 0;
-        try {
-          run = std::stoull(token.substr(0, x_pos));
-          index = std::stoull(token.substr(x_pos + 1));
-        } catch (const std::exception&) {
-          malformed("bad run-length token '" + token + "'");
-        }
-        if (run == 0) malformed("zero-length run");
-        if (index >= kMaterialCount) {
-          malformed("unknown material index " + std::to_string(index));
-        }
-        if (materials.size() + run > expected) {
-          malformed("materials exceed cell count");
-        }
-        materials.insert(materials.end(), run, material_from_index(index));
-      }
-    } else if (key == "end") {
-      saw_end = true;
-      break;
-    } else {
-      malformed("unknown key '" + key + "'");
-    }
-  }
-  if (!saw_end) malformed("missing 'end'");
-  if (!saw_grid) malformed("missing 'grid'");
-  const auto expected =
-      static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
-  if (materials.size() != expected) malformed("missing 'materials'");
-  if (name.empty()) name = "unnamed";
-  return InputDeck(name, Grid(nx, ny), std::move(materials), detonator);
+  return parse_deck(util::read_stream(in), "");
 }
 
 InputDeck load_deck(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw util::KrakError("load_deck: cannot open " + path + ": " +
-                          util::errno_message());
-  }
-  // Parse errors from read_deck name only the violation; a truncated or
-  // corrupted file on disk should name the file too.
-  try {
-    return read_deck(in);
-  } catch (const util::KrakError& error) {
-    throw util::KrakError("load_deck: " + path + ": " + error.what());
-  }
+  // A truncated or corrupted file on disk names the file too.
+  return parse_deck(util::load_text_file(path, "load_deck"),
+                    "load_deck: " + path + ": ");
 }
 
 std::string describe_deck(const InputDeck& deck) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -25,23 +23,20 @@ std::string line_component(std::size_t line) {
   return "synthetic/line " + std::to_string(line);
 }
 
-/// parse_synthetic, throwing on its first error.
-SyntheticSpec parse_or_throw(std::string_view text) {
+/// parse_synthetic, throwing "<context>malformed synthetic spec: ..." on
+/// its first error.
+SyntheticSpec parse_or_throw(std::string_view text,
+                             const std::string& context) {
   util::DiagnosticReport report;
   SyntheticSpec spec = parse_synthetic(text, report);
-  for (const util::Diagnostic& diagnostic : report.diagnostics()) {
-    if (diagnostic.severity == util::Severity::kError) {
-      throw util::KrakError("malformed synthetic spec: " +
-                            diagnostic.component + ": " + diagnostic.message);
-    }
-  }
+  report.throw_first_error(context + "malformed synthetic spec");
   return spec;
 }
 
 void check_spec(const SyntheticSpec& spec) {
   check(spec.nx > 0 && spec.ny > 0, "synthetic grid must be positive");
-  check(std::int64_t{spec.nx} * spec.ny <= kMaxSyntheticCells,
-        "synthetic grid exceeds kMaxSyntheticCells");
+  check(std::int64_t{spec.nx} * spec.ny <= kMaxDeckCells,
+        "synthetic grid exceeds kMaxDeckCells");
   check(!spec.layers.empty(), "synthetic spec needs at least one layer");
   check(static_cast<std::size_t>(spec.nx) >= spec.layers.size(),
         "synthetic deck needs at least one column per layer");
@@ -130,12 +125,8 @@ void write_synthetic(std::ostream& out, const SyntheticSpec& spec) {
 }
 
 void save_synthetic(const std::string& path, const SyntheticSpec& spec) {
-  std::ofstream out(path);
-  if (!out) {
-    throw util::KrakError("save_synthetic: cannot open " + path + ": " +
-                          util::errno_message());
-  }
-  write_synthetic(out, spec);
+  util::save_text_file(path, "save_synthetic",
+                       [&](std::ostream& out) { write_synthetic(out, spec); });
 }
 
 SyntheticSpec parse_synthetic(std::string_view text,
@@ -162,17 +153,10 @@ SyntheticSpec parse_synthetic(std::string_view text,
     const std::string key(tokens.front());
     const auto quoted = [&] { return "'" + std::string(line.text) + "'"; };
     if (!saw_header) {
-      if (tokens.size() != 2 || key != kMagic) {
-        error(kSyntheticFormat, "expected header '" + std::string(kMagic) +
-                                    " " + std::to_string(kVersion) +
-                                    "', got " + quoted());
-        return spec;
-      }
-      if (tokens[1] != std::to_string(kVersion)) {
-        error(kSyntheticFormat, "unsupported version " +
-                                    std::string(tokens[1]) +
-                                    " (this parser reads version " +
-                                    std::to_string(kVersion) + ")");
+      const std::string problem =
+          util::header_error(line.text, kMagic, kVersion);
+      if (!problem.empty()) {
+        error(kSyntheticFormat, problem);
         return spec;
       }
       saw_header = true;
@@ -205,11 +189,11 @@ SyntheticSpec parse_synthetic(std::string_view text,
         error(kSyntheticShape, "grid dimensions must be positive, got " +
                                    std::to_string(spec.nx) + " x " +
                                    std::to_string(spec.ny));
-      } else if (std::int64_t{spec.nx} * spec.ny > kMaxSyntheticCells) {
+      } else if (std::int64_t{spec.nx} * spec.ny > kMaxDeckCells) {
         error(kSyntheticShape,
               "grid " + std::to_string(spec.nx) + " x " +
                   std::to_string(spec.ny) + " exceeds the limit of " +
-                  std::to_string(kMaxSyntheticCells) + " cells");
+                  std::to_string(kMaxDeckCells) + " cells");
       }
     } else if (key == "layer") {
       std::int64_t index = -1;
@@ -301,22 +285,12 @@ SyntheticSpec parse_synthetic(std::string_view text,
 }
 
 SyntheticSpec read_synthetic(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_or_throw(buffer.str());
+  return parse_or_throw(util::read_stream(in), "");
 }
 
 SyntheticSpec load_synthetic(const std::string& path) {
-  const std::optional<std::string> text = util::read_text_file(path);
-  if (!text.has_value()) {
-    throw util::KrakError("load_synthetic: cannot open " + path + ": " +
-                          util::errno_message());
-  }
-  try {
-    return parse_or_throw(*text);
-  } catch (const util::KrakError& error) {
-    throw util::KrakError("load_synthetic: " + path + ": " + error.what());
-  }
+  return parse_or_throw(util::load_text_file(path, "load_synthetic"),
+                        "load_synthetic: " + path + ": ");
 }
 
 }  // namespace krak::mesh

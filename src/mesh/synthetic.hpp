@@ -25,16 +25,11 @@ inline constexpr const char* kSyntheticFormat = "synthetic-format";
 /// layer.
 inline constexpr const char* kSyntheticMix = "synthetic-mix";
 /// Grid dimensions must be positive, the grid must hold at most
-/// kMaxSyntheticCells cells, and an explicit detonator must lie inside
+/// kMaxDeckCells cells, and an explicit detonator must lie inside
 /// the grid domain.
 inline constexpr const char* kSyntheticShape = "synthetic-shape";
 
 }  // namespace rules
-
-/// Largest synthetic grid, in cells: 16x the largest deck the benches
-/// build (2048 x 512), and small enough that a mistyped spec fails with
-/// a diagnostic instead of an allocation of terabytes.
-inline constexpr std::int64_t kMaxSyntheticCells = std::int64_t{1} << 24;
 
 /// Specification of a deterministic synthetic deck: a layered cylinder
 /// like the paper's (Figure 1), but with a free grid size and material

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/csv.hpp"
+#include "util/error.hpp"
 
 namespace krak::util {
 
@@ -45,6 +46,15 @@ void DiagnosticReport::info(std::string rule, std::string component,
 void DiagnosticReport::merge(const DiagnosticReport& other) {
   diagnostics_.insert(diagnostics_.end(), other.diagnostics_.begin(),
                       other.diagnostics_.end());
+}
+
+void DiagnosticReport::throw_first_error(std::string_view prefix) const {
+  for (const Diagnostic& d : diagnostics_) {
+    if (d.severity == Severity::kError) {
+      throw KrakError(std::string(prefix) + ": " + d.component + ": " +
+                      d.message);
+    }
+  }
 }
 
 std::size_t DiagnosticReport::count(Severity severity) const {

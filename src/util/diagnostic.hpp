@@ -38,8 +38,9 @@ struct Diagnostic {
 };
 
 /// A severity-ranked collection of findings. The file-format parsers
-/// (core/campaign_journal, core/partition_store, mesh/synthetic) report
-/// into one, so their loaders and the krak_analyze linters share it.
+/// (core/campaign_journal, core/partition_store, mesh/synthetic,
+/// fault/plan) report into one, so their loaders and the krak_analyze
+/// linters share it.
 ///
 /// Findings accumulate in lint order; `sorted()` ranks them most-severe
 /// first (stable within a severity, so related findings stay adjacent).
@@ -75,6 +76,10 @@ class DiagnosticReport {
 
   /// True if any finding carries the rule id.
   [[nodiscard]] bool has_rule(std::string_view rule) const;
+
+  /// Throw KrakError "<prefix>: <component>: <message>" for the first
+  /// error, if there is one: how the throwing loaders wrap the parsers.
+  void throw_first_error(std::string_view prefix) const;
 
   /// Findings ranked by severity (errors first), stable within a rank.
   [[nodiscard]] std::vector<Diagnostic> sorted() const;

@@ -6,17 +6,24 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <istream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
+#include <variant>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace krak::util {
 
 /// The one tokenizer behind the line-oriented text formats
-/// (`krakjournal`, `krakpart`, `kraksynth`): lines end at '\n', tokens
+/// (`krakjournal`, `krakpart`, `kraksynth`, `krakfaults`, `kraktrace`,
+/// `krakdeck`, `krakcosts`): lines end at '\n', tokens
 /// are separated by spaces, tabs and carriage returns, and numbers are
 /// parsed with std::from_chars straight out of the caller's buffer.
 
@@ -141,6 +148,83 @@ class Tokens {
   return tokens;
 }
 
+/// Empty when `line` is exactly the header `<magic> <version>`,
+/// otherwise what is wrong with it.
+[[nodiscard]] inline std::string header_error(std::string_view line,
+                                              std::string_view magic,
+                                              int version) {
+  const std::vector<std::string_view> tokens = split_tokens(line);
+  if (tokens.size() != 2 || tokens[0] != magic) {
+    return "expected header '" + std::string(magic) + " " +
+           std::to_string(version) + "', got '" + std::string(line) + "'";
+  }
+  if (tokens[1] != std::to_string(version)) {
+    return "unsupported version " + std::string(tokens[1]) +
+           " (this parser reads version " + std::to_string(version) + ")";
+  }
+  return {};
+}
+
+/// One `key=value` field of a line and the number its value parses into.
+struct KeyField {
+  KeyField(std::string_view name, std::variant<std::int32_t*, double*> into,
+           bool is_required = true, std::optional<std::int32_t> wildcard = {})
+      : key(name), target(into), required(is_required), star(wildcard) {}
+
+  std::string_view key;
+  std::variant<std::int32_t*, double*> target;
+  bool required;
+  /// When set, the value `*` stands for this number (`rank=*`).
+  std::optional<std::int32_t> star;
+};
+
+/// The `key=value` reader of `krakfaults` directives and `kraktrace`
+/// ops: parse the rest of `tokens` into `fields`. Empty on success,
+/// otherwise what is wrong: a token that is not `key=value`, an unknown
+/// or duplicate key, a missing required key, or a value that does not
+/// parse into its field's type (parse_number's rules, so an out-of-range
+/// integer or a non-finite number is an error, not a wrap).
+[[nodiscard]] inline std::string read_key_values(
+    Tokens& tokens, std::initializer_list<KeyField> fields) {
+  std::vector<bool> seen(fields.size(), false);
+  std::string_view token;
+  while (tokens.next(token)) {
+    const std::size_t eq = token.find('=');
+    if (eq == std::string_view::npos || eq == 0 || eq + 1 == token.size()) {
+      return "bad field '" + std::string(token) + "' (expected key=value)";
+    }
+    const std::string key(token.substr(0, eq));
+    const std::string_view value = token.substr(eq + 1);
+    std::size_t i = 0;
+    while (i < fields.size() && fields.begin()[i].key != key) ++i;
+    if (i == fields.size()) return "unknown field '" + key + "'";
+    if (seen[i]) return "duplicate field '" + key + "'";
+    seen[i] = true;
+    const KeyField& field = fields.begin()[i];
+    const bool parsed = std::visit(
+        [&](auto* target) {
+          if (!field.star.has_value() || value != "*") {
+            return parse_number(value, *target);
+          }
+          *target = *field.star;
+          return true;
+        },
+        field.target);
+    if (!parsed) {
+      return "field " + key + "='" + std::string(value) + "' is not " +
+             (std::holds_alternative<std::int32_t*>(field.target)
+                  ? "a 32-bit integer"
+                  : "a finite number");
+    }
+  }
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (fields.begin()[i].required && !seen[i]) {
+      return "missing field '" + std::string(fields.begin()[i].key) + "'";
+    }
+  }
+  return {};
+}
+
 /// Parse a fixed-width field of exactly 16 hex digits (fingerprints,
 /// checksums, IEEE-754 bit patterns).
 [[nodiscard]] inline bool parse_hex16(std::string_view token,
@@ -159,6 +243,11 @@ class Tokens {
   return out;
 }
 
+/// Everything left in `in`, for the loaders that take a stream.
+[[nodiscard]] inline std::string read_stream(std::istream& in) {
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 /// The whole file at `path` in one buffer, or nullopt when it cannot be
 /// opened (errno says why).
 [[nodiscard]] inline std::optional<std::string> read_text_file(
@@ -171,6 +260,31 @@ class Tokens {
   in.seekg(0);
   in.read(text.data(), static_cast<std::streamsize>(text.size()));
   return text;
+}
+
+/// read_text_file for the loaders: throws
+/// KrakError("<caller>: cannot open <path>: <cause>").
+[[nodiscard]] inline std::string load_text_file(const std::string& path,
+                                                std::string_view caller) {
+  std::optional<std::string> text = read_text_file(path);
+  if (!text.has_value()) {
+    throw KrakError(std::string(caller) + ": cannot open " + path + ": " +
+                    errno_message());
+  }
+  return std::move(*text);
+}
+
+/// Open `path` for writing and hand the stream to `write`, for the
+/// savers: throws KrakError("<caller>: cannot open <path>: <cause>").
+template <typename Write>
+void save_text_file(const std::string& path, std::string_view caller,
+                    const Write& write) {
+  std::ofstream out(path);
+  if (!out) {
+    throw KrakError(std::string(caller) + ": cannot open " + path + ": " +
+                    errno_message());
+  }
+  write(out);
 }
 
 }  // namespace krak::util

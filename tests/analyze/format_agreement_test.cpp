@@ -2,7 +2,9 @@
 // (docs/ANALYSIS.md, "One parser per format"): over deterministic
 // mutants of a writer-produced file and of the corrupted fixture, each
 // loader accepts a file exactly when its linter reports no errors —
-// apart from the rules only the linter checks, listed per format.
+// apart from the rules only the linter checks, listed per format. The
+// loader-only formats (krakdeck, krakcosts) get the same mutants and
+// must either load or throw util::KrakError.
 
 #include <gtest/gtest.h>
 
@@ -16,14 +18,20 @@
 #include <string_view>
 #include <vector>
 
+#include "analyze/lint_faults.hpp"
 #include "analyze/lint_journal.hpp"
 #include "analyze/lint_partition_store.hpp"
 #include "analyze/lint_synthetic.hpp"
 #include "analyze/rules.hpp"
 #include "core/campaign_journal.hpp"
 #include "core/partition_store.hpp"
+#include "core/table_io.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
+#include "mesh/io.hpp"
 #include "mesh/synthetic.hpp"
 #include "partition/partition.hpp"
+#include "simapp/costmodel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -68,12 +76,15 @@ std::vector<std::pair<std::size_t, std::size_t>> token_spans(
   return spans;
 }
 
-/// A non-number, a negative, and 2^63 (one past int64's range).
-constexpr const char* kReplacements[] = {"x", "-1", "9223372036854775808"};
+/// A non-number, a negative, 2^63 (one past int64's range), the
+/// non-finite numbers and a negative zero.
+constexpr const char* kReplacements[] = {"x",   "-1",  "9223372036854775808",
+                                         "nan", "inf", "-0"};
 
 /// Every single mutation of `text`: truncation at each line boundary
 /// and halfway through each line (a torn append), each line deleted or
-/// duplicated, each token replaced.
+/// duplicated, each token replaced, and the value half of each
+/// `key=value` token replaced.
 std::vector<std::string> single_mutants(const std::string& text) {
   std::vector<std::string> out;
   const std::vector<std::string> lines = split_lines(text);
@@ -96,8 +107,12 @@ std::vector<std::string> single_mutants(const std::string& text) {
     out.push_back(join(duplicated));
   }
   for (const auto& [begin, end] : token_spans(text)) {
+    const std::size_t eq = text.find('=', begin);
     for (const char* replacement : kReplacements) {
       out.push_back(text.substr(0, begin) + replacement + text.substr(end));
+      if (eq < end) {
+        out.push_back(text.substr(0, eq + 1) + replacement + text.substr(end));
+      }
     }
   }
   return out;
@@ -157,6 +172,30 @@ void expect_agreement(const Format& format, std::uint64_t seed) {
     ++(loads ? accepted : rejected);
   }
   // Both outcomes must occur, or the property holds vacuously.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+/// The loader-only formats: every mutant either loads or throws
+/// util::KrakError — never another exception, a crash or a huge
+/// allocation. Both outcomes must occur.
+void expect_loads_or_krak_error(
+    const std::vector<std::string>& bases,
+    const std::function<void(const std::string&)>& load, std::uint64_t seed) {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const std::string& text : mutants(bases, seed)) {
+    try {
+      load(text);
+      ++accepted;
+    } catch (const util::KrakError&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "non-KrakError exception '" << error.what()
+                    << "' for:\n"
+                    << text;
+    }
+  }
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
 }
@@ -297,6 +336,86 @@ TEST_F(FormatAgreement, SyntheticReadsExactlyWhenLintClean) {
     }
   };
   expect_agreement(format, 14);
+}
+
+TEST_F(FormatAgreement, FaultPlanLoadsAndCompilesExactlyWhenLintClean) {
+  fault::FaultPlan plan;
+  plan.seed = 11;
+  plan.slowdowns.push_back({2, 1.5});
+  plan.noise.push_back({fault::kAllRanks, 1e-3, 25e-6});
+  fault::OneOffDelay delay;
+  delay.rank = 0;
+  delay.phase = 4;
+  delay.iteration = 1;
+  delay.seconds = 2e-3;
+  plan.delays.push_back(delay);
+  fault::MessageFaultModel messages;
+  messages.drop_probability = 0.05;
+  messages.extra_delay_s = 1e-6;
+  plan.message_faults.push_back(messages);
+  plan.degrades.push_back({3, 0.25});
+  fault::RankCrash crash;
+  crash.rank = 1;
+  crash.phase = 9;
+  crash.restart_s = 0.05;
+  crash.checkpoint_interval_s = 0.4;
+  plan.crashes.push_back(crash);
+  plan.max_sim_seconds = 10.0;
+  std::ostringstream written;
+  fault::write_fault_plan(written, plan);
+
+  constexpr std::int32_t kRanks = 8;
+  const fs::path path = directory_ / "mutant.krakfaults";
+  Format format;
+  format.bases = {written.str(), corrupted_fault_spec_text()};
+  format.lint = [&path](const std::string& text) {
+    write(path, text);
+    return lint_fault_file(path.string(), kRanks, simapp::kPhaseCount);
+  };
+  // What `krak_bench --faults` runs: load the plan, then compile it for
+  // the run.
+  format.loads = [&path](const std::string& text) {
+    write(path, text);
+    try {
+      const fault::InjectionEngine engine(
+          fault::load_fault_plan(path.string()), kRanks, simapp::kPhaseCount);
+      return true;
+    } catch (const util::KrakError&) {
+      return false;
+    }
+  };
+  expect_agreement(format, 15);
+}
+
+TEST(LoaderOnlyFormats, DeckMutantsLoadOrThrowKrakError) {
+  std::ostringstream layered;
+  mesh::write_deck(layered, mesh::make_cylindrical_deck(12, 6));
+  std::ostringstream uniform;
+  mesh::write_deck(uniform,
+                   mesh::make_uniform_deck(4, 3, mesh::Material::kFoam));
+  expect_loads_or_krak_error(
+      {layered.str(), uniform.str()},
+      [](const std::string& text) {
+        std::istringstream in(text);
+        (void)mesh::read_deck(in);
+      },
+      16);
+}
+
+TEST(LoaderOnlyFormats, CostTableMutantsLoadOrThrowKrakError) {
+  core::CostTable table;
+  table.add_sample(1, mesh::Material::kHEGas, 16.0, 1.5e-6);
+  table.add_sample(1, mesh::Material::kHEGas, 256.0, 0.75e-6);
+  table.add_sample(9, mesh::Material::kFoam, 64.0, 3.25e-7);
+  std::ostringstream written;
+  core::write_cost_table(written, table);
+  expect_loads_or_krak_error(
+      {written.str()},
+      [](const std::string& text) {
+        std::istringstream in(text);
+        (void)core::read_cost_table(in);
+      },
+      17);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -41,6 +42,27 @@ TEST(LintFaults, RangeViolationsAreReported) {
   const DiagnosticReport report = lint_faults(plan);
   EXPECT_TRUE(report.has_rule(rules::kFaultSpecRange)) << report.to_text();
   EXPECT_GE(report.error_count(), 3u);
+}
+
+TEST(LintFaults, NanValuesAreRangeErrors) {
+  fault::FaultPlan plan;
+  plan.slowdowns.push_back({0, std::nan("")});
+  fault::NoiseBurst noise;
+  noise.period_s = std::nan("");
+  plan.noise.push_back(noise);
+  const DiagnosticReport report = lint_faults(plan);
+  EXPECT_EQ(report.error_count(), 2u) << report.to_text();
+  EXPECT_TRUE(report.has_rule(rules::kFaultSpecRange)) << report.to_text();
+}
+
+TEST(LintFaults, OverflowingRankIsFormatError) {
+  const std::string path = ::testing::TempDir() + "/overflow.krakfaults";
+  {
+    std::ofstream out(path);
+    out << "krakfaults 1\nslowdown rank=4294967296 factor=2\nend\n";
+  }
+  const DiagnosticReport report = lint_fault_file(path, /*ranks=*/4);
+  EXPECT_TRUE(report.has_rule(rules::kFaultSpecFormat)) << report.to_text();
 }
 
 TEST(LintFaults, TargetBoundsCheckedOnlyWithRunContext) {

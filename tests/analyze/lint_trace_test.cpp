@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "analyze/rules.hpp"
@@ -11,9 +10,8 @@ namespace krak::analyze {
 namespace {
 
 DiagnosticReport lint_text(const std::string& text, TraceFile* parsed = nullptr) {
-  std::istringstream in(text);
   DiagnosticReport report;
-  TraceFile file = lint_trace(in, report);
+  TraceFile file = lint_trace(text, report);
   if (parsed != nullptr) *parsed = std::move(file);
   return report;
 }

@@ -81,6 +81,21 @@ TEST(TableIo, RejectsMalformedInput) {
   expect_reject("krakcosts 1\nsample 1 0 10\nend\n");        // truncated
   expect_reject("krakcosts 1\nbogus\nend\n");                // unknown key
   expect_reject("krakcosts 1\nsample 1 0 10 1e-6\n");        // missing end
+  expect_reject("krakcosts 1\nsample 1 0 10 nan\nend\n");     // not finite
+  expect_reject("krakcosts 1\nsample 1 0 10 1e-6 7\nend\n");  // extra token
+  expect_reject("krakcosts 1\nend\nsample 1 0 10 1e-6\n");    // after end
+}
+
+TEST(TableIo, AcceptsCommentsAndBlankLines) {
+  std::stringstream stream(
+      "# calibrated on the test host\nkrakcosts 1\n\n"
+      "sample 2 1 64 2.5e-7  # inner aluminum\nend\n");
+  EXPECT_THROW((void)read_cost_table(stream), util::KrakError);
+  std::stringstream annotated(
+      "# calibrated on the test host\nkrakcosts 1\n\n"
+      "# foam\nsample 2 1 64 2.5e-7\nend\n");
+  const CostTable loaded = read_cost_table(annotated);
+  EXPECT_DOUBLE_EQ(loaded.per_cell(2, Material::kAluminumInner, 64.0), 2.5e-7);
 }
 
 TEST(TableIo, LoadMissingFileThrows) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -43,6 +44,33 @@ TEST(InjectionEngine, RejectsOutOfRangePlanValues) {
   crash.rank = kAllRanks;  // crashes must name one rank
   wildcard_crash.crashes.push_back(crash);
   EXPECT_THROW(InjectionEngine(wildcard_crash, 4, kPhases), util::KrakError);
+}
+
+TEST(InjectionEngine, RejectsWhatTheLinterRejects) {
+  // The engine and lint_faults share check_fault_plan: NaN fails every
+  // range, and a negative checkpoint interval or watchdog bound is an
+  // error (0 means none).
+  FaultPlan nan_factor;
+  nan_factor.slowdowns.push_back({0, std::nan("")});
+  EXPECT_THROW(InjectionEngine(nan_factor, 4, kPhases), util::KrakError);
+
+  FaultPlan nan_drop;
+  MessageFaultModel model;
+  model.drop_probability = std::nan("");
+  nan_drop.message_faults.push_back(model);
+  EXPECT_THROW(InjectionEngine(nan_drop, 4, kPhases), util::KrakError);
+
+  FaultPlan negative_interval;
+  RankCrash crash;
+  crash.checkpoint_interval_s = -1.0;
+  negative_interval.crashes.push_back(crash);
+  EXPECT_THROW(InjectionEngine(negative_interval, 4, kPhases),
+               util::KrakError);
+
+  FaultPlan negative_watchdog;
+  negative_watchdog.max_sim_seconds = -1.0;
+  EXPECT_THROW(InjectionEngine(negative_watchdog, 4, kPhases),
+               util::KrakError);
 }
 
 TEST(InjectionEngine, SlowdownScalesComputeExcess) {

@@ -45,6 +45,15 @@ TEST(DeckIo, RoundTripUniformAndTwoMaterial) {
   }
 }
 
+TEST(DeckIo, RoundTripIsExactForNonShortDetonator) {
+  const InputDeck base = make_uniform_deck(8, 4, Material::kHEGas);
+  const InputDeck original("exact", base.grid(), base.materials(),
+                           Point{1.23456789, 1.0 / 3.0});
+  std::stringstream stream;
+  write_deck(stream, original);
+  expect_decks_equal(original, read_deck(stream));
+}
+
 TEST(DeckIo, RunLengthEncodingIsCompact) {
   // The layered medium deck (204,800 cells) must serialize to well
   // under one byte per cell.
@@ -104,6 +113,29 @@ TEST(DeckIo, RejectsUnknownMaterialIndex) {
 TEST(DeckIo, RejectsMalformedRunToken) {
   std::stringstream stream(
       "krakdeck 1\nname x\ngrid 2 2\ndetonator 0 0\nmaterials four_x0\nend\n");
+  EXPECT_THROW((void)read_deck(stream), util::KrakError);
+}
+
+TEST(DeckIo, RejectsHugeGridBeforeAllocating) {
+  // 4e18 cells: reserving them threw std::length_error or
+  // std::bad_alloc, not KrakError.
+  std::stringstream stream(
+      "krakdeck 1\nname x\ngrid 2000000000 2000000000\ndetonator 0 0\n"
+      "materials 1x0\nend\n");
+  EXPECT_THROW((void)read_deck(stream), util::KrakError);
+  // The largest allowed grid is still a structured error when its runs
+  // do not cover it.
+  std::stringstream at_limit(
+      "krakdeck 1\ngrid 4096 4096\nmaterials 1x0\nend\n");
+  static_assert(std::int64_t{4096} * 4096 == kMaxDeckCells);
+  EXPECT_THROW((void)read_deck(at_limit), util::KrakError);
+}
+
+TEST(DeckIo, RejectsRunThatWrapsTheCellCount) {
+  // 1 + (2^64 - 1) wraps to 0, which passed the old overflow check and
+  // asked insert() for 2^64 - 1 cells.
+  std::stringstream stream(
+      "krakdeck 1\ngrid 2 2\nmaterials 1x0 18446744073709551615x0\nend\n");
   EXPECT_THROW((void)read_deck(stream), util::KrakError);
 }
 

@@ -135,7 +135,7 @@ TEST(Synthetic, RejectsGridsAboveTheCellLimit) {
   (void)parse_synthetic("kraksynth 1\ngrid 4096 4096\nlayer 0 1.0\nend\n",
                         at_limit);
   EXPECT_FALSE(at_limit.has_errors());
-  static_assert(std::int64_t{4096} * 4096 == kMaxSyntheticCells);
+  static_assert(std::int64_t{4096} * 4096 == kMaxDeckCells);
   util::DiagnosticReport past_limit;
   (void)parse_synthetic("kraksynth 1\ngrid 4096 4097\nlayer 0 1.0\nend\n",
                         past_limit);

@@ -1,10 +1,6 @@
 #include "analyze/lint_faults.hpp"
 
-#include <optional>
-
 #include "analyze/rules.hpp"
-#include "util/error.hpp"
-#include "util/text_format.hpp"
 
 namespace krak::analyze {
 
@@ -21,16 +17,13 @@ DiagnosticReport lint_faults(const fault::FaultPlan& plan, std::int32_t ranks,
 
 DiagnosticReport lint_fault_file(const std::string& path, std::int32_t ranks,
                                  std::int32_t phases_per_iteration) {
-  DiagnosticReport report;
-  const std::optional<std::string> text = util::read_text_file(path);
-  if (!text.has_value()) {
-    report.error(rules::kFaultSpecFormat, "faults",
-                 "cannot open " + path + ": " + util::errno_message());
-    return report;
-  }
-  const fault::FaultPlan plan = fault::parse_fault_plan(*text, report);
-  report.merge(lint_faults(plan, ranks, phases_per_iteration));
-  return report;
+  return lint_text_file(
+      path, rules::kFaultSpecFormat, "faults", [&](std::string_view text) {
+        DiagnosticReport report;
+        const fault::FaultPlan plan = fault::parse_fault_plan(text, report);
+        report.merge(lint_faults(plan, ranks, phases_per_iteration));
+        return report;
+      });
 }
 
 std::string corrupted_fault_spec_text() {

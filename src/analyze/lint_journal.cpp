@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <optional>
 
 #include "analyze/rules.hpp"
 #include "core/campaign_journal.hpp"
@@ -85,14 +84,7 @@ DiagnosticReport lint_journal(std::string_view text) {
 }
 
 DiagnosticReport lint_journal_file(const std::string& path) {
-  const std::optional<std::string> text = util::read_text_file(path);
-  if (!text.has_value()) {
-    DiagnosticReport report;
-    report.error(rules::kJournalFormat, "journal",
-                 "cannot open " + path + ": " + util::errno_message());
-    return report;
-  }
-  return lint_journal(*text);
+  return lint_text_file(path, rules::kJournalFormat, "journal", lint_journal);
 }
 
 std::string corrupted_journal_text() {

@@ -1,11 +1,7 @@
 #include "analyze/lint_partition_store.hpp"
 
-#include <optional>
-
 #include "analyze/rules.hpp"
 #include "core/partition_store.hpp"
-#include "util/error.hpp"
-#include "util/text_format.hpp"
 
 namespace krak::analyze {
 
@@ -16,14 +12,8 @@ DiagnosticReport lint_partition_store(std::string_view text) {
 }
 
 DiagnosticReport lint_partition_store_file(const std::string& path) {
-  const std::optional<std::string> text = util::read_text_file(path);
-  if (!text.has_value()) {
-    DiagnosticReport report;
-    report.error(rules::kPartitionStoreFormat, "store",
-                 "cannot open " + path + ": " + util::errno_message());
-    return report;
-  }
-  return lint_partition_store(*text);
+  return lint_text_file(path, rules::kPartitionStoreFormat, "store",
+                        lint_partition_store);
 }
 
 std::string corrupted_partition_store_text() {

@@ -1,11 +1,7 @@
 #include "analyze/lint_synthetic.hpp"
 
-#include <optional>
-
 #include "analyze/rules.hpp"
 #include "mesh/synthetic.hpp"
-#include "util/error.hpp"
-#include "util/text_format.hpp"
 
 namespace krak::analyze {
 
@@ -16,14 +12,8 @@ DiagnosticReport lint_synthetic(std::string_view text) {
 }
 
 DiagnosticReport lint_synthetic_file(const std::string& path) {
-  const std::optional<std::string> text = util::read_text_file(path);
-  if (!text.has_value()) {
-    DiagnosticReport report;
-    report.error(rules::kSyntheticFormat, "synthetic",
-                 "cannot open " + path + ": " + util::errno_message());
-    return report;
-  }
-  return lint_synthetic(*text);
+  return lint_text_file(path, rules::kSyntheticFormat, "synthetic",
+                        lint_synthetic);
 }
 
 std::string corrupted_synthetic_text() {

@@ -1,7 +1,6 @@
 #include "analyze/lint_trace.hpp"
 
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -181,15 +180,12 @@ TraceFile lint_trace(std::string_view text, DiagnosticReport& report) {
 }
 
 DiagnosticReport lint_trace_file(const std::string& path) {
-  DiagnosticReport report;
-  const std::optional<std::string> text = util::read_text_file(path);
-  if (!text.has_value()) {
-    report.error(rules::kTraceFormat, "trace",
-                 "cannot open " + path + ": " + util::errno_message());
-    return report;
-  }
-  (void)lint_trace(*text, report);
-  return report;
+  return lint_text_file(path, rules::kTraceFormat, "trace",
+                        [](std::string_view text) {
+                          DiagnosticReport report;
+                          (void)lint_trace(text, report);
+                          return report;
+                        });
 }
 
 std::string corrupted_trace_text() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -113,6 +114,8 @@ void write_synthetic(std::ostream& out, const SyntheticSpec& spec) {
   }
   out << "name " << name << "\n";
   out << "grid " << spec.nx << " " << spec.ny << "\n";
+  // Full precision, so fractions and the detonator read back bit for bit.
+  out << std::setprecision(17);
   for (const SyntheticSpec::Layer& layer : spec.layers) {
     out << "layer " << material_index(layer.material) << " " << layer.fraction
         << "\n";

@@ -105,12 +105,12 @@ void Simulator::set_schedule(RankId rank, Schedule schedule) {
       check(op.peer != rank, "self-messages are not supported");
     }
     if (op.kind == OpKind::kCompute) {
-      check(op.duration >= 0.0, "compute duration must be non-negative");
+      check(op.duration() >= 0.0, "compute duration must be non-negative");
     }
     if (op.kind == OpKind::kIsend || op.kind == OpKind::kRecv ||
         op.kind == OpKind::kAllreduce || op.kind == OpKind::kBroadcast ||
         op.kind == OpKind::kGather) {
-      check(op.bytes >= 0.0, "message size must be non-negative");
+      check(op.bytes() >= 0.0, "message size must be non-negative");
     }
   }
   schedules_[static_cast<std::size_t>(rank)] = std::move(schedule);
@@ -245,7 +245,9 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
                              bool budget_exhausted, std::size_t events_fired) {
   const std::int32_t n = ranks();
   result.events_processed = events_fired;
+  std::int64_t nic_stalls = 0;
   for (Shard& shard : shards) {
+    nic_stalls += shard.nic_stalls;
     result.max_queue_depth =
         std::max(result.max_queue_depth, shard.queue.max_size());
     result.pooled_events += shard.queue.pooled_events();
@@ -325,6 +327,7 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
     static obs::Counter& pooled = registry.counter("sim.events.pooled");
     static obs::Counter& probes = registry.counter("sim.mailbox.probes");
     static obs::Counter& messages = registry.counter("sim.p2p_messages");
+    static obs::Counter& stalls = registry.counter("sim.nic.stalls");
     static obs::Gauge& depth = registry.gauge("sim.max_queue_depth");
     static obs::Gauge& collective_high_water =
         registry.gauge("sim.collective_states_high_water");
@@ -333,6 +336,7 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
     pooled.add(static_cast<std::int64_t>(result.pooled_events));
     probes.add(static_cast<std::int64_t>(result.mailbox_probes));
     messages.add(result.traffic.point_to_point_messages);
+    stalls.add(nic_stalls);
     depth.set(static_cast<double>(result.max_queue_depth));
     collective_high_water.set(static_cast<double>(collective_high_water_));
     if (fault_ != nullptr) {
@@ -366,14 +370,14 @@ SimFailure Simulator::diagnose_stuck_rank(RankId rank) const {
     failure.has_op = true;
     failure.op = op.kind;
     failure.peer = op.peer;
-    failure.tag = op.tag;
+    failure.tag = op.tag();
     if (op.kind == OpKind::kRecv) {
-      const auto it = lost_.find({op.peer, rank, op.tag});
+      const auto it = lost_.find({op.peer, rank, op.tag()});
       if (it != lost_.end() && it->second > 0) {
         failure.kind = SimFailure::Kind::kLostMessage;
         std::ostringstream os;
         os << "waiting for a message lost by the fault plan (" << it->second
-           << " loss(es) from peer " << op.peer << ", tag " << op.tag
+           << " loss(es) from peer " << op.peer << ", tag " << op.tag()
            << ", retransmit budget exhausted)";
         failure.detail = os.str();
       }
@@ -447,7 +451,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       failure.has_op = true;
       failure.op = schedule[state.pc].kind;
       failure.peer = schedule[state.pc].peer;
-      failure.tag = schedule[state.pc].tag;
+      failure.tag = schedule[state.pc].tag();
     }
     std::ostringstream os;
     os << "(clock " << state.clock << " s > bound " << watchdog_.max_sim_seconds
@@ -478,7 +482,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
             ++shard.faults.injections;
           }
           const double extra =
-              fault_->compute_delay(rank, state.compute_index, op.duration);
+              fault_->compute_delay(rank, state.compute_index, op.duration());
           if (extra > 0.0) {
             state.clock += extra;
             breakdown.fault_delay += extra;
@@ -486,8 +490,8 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           }
           ++state.compute_index;
         }
-        state.clock += op.duration;
-        breakdown.compute += op.duration;
+        state.clock += op.duration();
+        breakdown.compute += op.duration();
         ++state.pc;
         break;
       }
@@ -508,19 +512,20 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
               static_cast<std::size_t>(rank / nic_.pes_per_node);
           if (nic_free_[node] > inject_at) {
             inject_at = nic_free_[node];
-            ++shard.nic_conflicts;
+            ++shard.nic_stalls;
           }
-          injected_by = inject_at + op.bytes / nic_.injection_bandwidth;
+          injected_by = inject_at + op.bytes() / nic_.injection_bandwidth;
           nic_free_[node] = injected_by;
         }
         double wire_time =
             hierarchy_ != nullptr
-                ? hierarchy_->message_time(rank, op.peer, op.bytes)
-                : network_.message_time(op.bytes);
+                ? hierarchy_->message_time(rank, op.peer, op.bytes())
+                : network_.message_time(op.bytes());
         const std::int64_t send_ordinal = state.send_index++;
         FaultInjector::MessageFate fate;
         if (fault_ != nullptr) {
-          fate = fault_->message_fate(rank, op.peer, op.bytes, send_ordinal);
+          fate =
+              fault_->message_fate(rank, op.peer, op.bytes(), send_ordinal);
           wire_time *= fate.bandwidth_factor;
           if (fate.extra_delay > 0.0 || fate.lost ||
               fate.bandwidth_factor != 1.0) {
@@ -535,13 +540,15 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
         // The send completes locally once the payload is handed to the
         // NIC (one start-up latency), not when it arrives remotely.
         const double handoff =
-            hierarchy_ != nullptr ? hierarchy_->latency(rank, op.peer, op.bytes)
-                                  : network_.latency(op.bytes);
-        state.send_completions.push_back(inject_at + handoff);
+            hierarchy_ != nullptr
+                ? hierarchy_->latency(rank, op.peer, op.bytes())
+                : network_.latency(op.bytes());
+        state.send_completion =
+            std::max(state.send_completion, inject_at + handoff);
         ++shard.traffic.point_to_point_messages;
-        state.sent_bytes += op.bytes;
+        state.sent_bytes += op.bytes();
         const RankId to = op.peer;
-        const std::int32_t tag = op.tag;
+        const std::int32_t tag = op.tag();
         if (fate.lost) {
           // Retries exhausted: the payload never arrives. The sender's
           // local completion is unaffected (asynchronous send); the
@@ -574,17 +581,15 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       }
       case OpKind::kWaitAllSends: {
         const double before = state.clock;
-        for (double completion : state.send_completions) {
-          state.clock = std::max(state.clock, completion);
-        }
+        state.clock = std::max(state.clock, state.send_completion);
         breakdown.send_wait += state.clock - before;
-        state.send_completions.clear();
+        state.send_completion = 0.0;
         ++state.pc;
         break;
       }
       case OpKind::kRecv: {
         double arrival = 0.0;
-        if (!state.mailbox.try_pop(op.peer, op.tag, &arrival)) {
+        if (!state.mailbox.try_pop(op.peer, op.tag(), &arrival)) {
           state.blocked = true;
           state.reason = BlockReason::kRecvWait;
           state.blocked_op = state.pc;
@@ -605,7 +610,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
         break;
       }
       case OpKind::kRecord: {
-        result.records[static_cast<std::size_t>(rank)].append(op.slot,
+        result.records[static_cast<std::size_t>(rank)].append(op.slot(),
                                                               state.clock);
         ++state.pc;
         break;
@@ -641,7 +646,7 @@ void Simulator::enter_collective(Shard& shard, RankId rank, const Op& op) {
     // entries from every shard in canonical (index, rank) order and
     // releases completed collectives from the coordinator.
     shard.collective_entries.push_back(
-        {index, rank, op.kind, op.bytes, state.clock});
+        {index, rank, op.kind, op.bytes(), state.clock});
     return;
   }
 
@@ -656,9 +661,9 @@ void Simulator::enter_collective(Shard& shard, RankId rank, const Op& op) {
   CollectiveState& coll = collective_states_[rel];
   if (coll.entered == 0) {
     coll.kind = op.kind;
-    coll.bytes = op.bytes;
+    coll.bytes = op.bytes();
   } else {
-    check(coll.kind == op.kind && coll.bytes == op.bytes,
+    check(coll.kind == op.kind && coll.bytes == op.bytes(),
           "mismatched collective sequence across ranks");
   }
   ++coll.entered;

@@ -421,7 +421,11 @@ class Simulator {
     /// The watchdog's time bound fired on this rank; it executes no
     /// further ops but is not counted as deadlocked at drain.
     bool timed_out = false;
-    std::vector<double> send_completions;
+    /// Latest local completion among the sends posted since the last
+    /// kWaitAllSends. The wait only reduces them with max, so a running
+    /// max is exact in any posting order; clocks are non-negative, so
+    /// 0 is the empty value.
+    double send_completion = 0.0;
     Mailbox mailbox;
     std::size_t next_collective = 0;
     /// Ordinal of the next kCompute / kIsend op (fault-injection keys;
@@ -516,8 +520,8 @@ class Simulator {
         merge_runs;
     /// Sends that found this node's adapter busy (NIC model only):
     /// inject_at was pushed past the sender's clock by nic_free_.
-    /// Exported as `sim.parallel.nic_shard_conflicts`.
-    std::int64_t nic_conflicts = 0;
+    /// Summed over shards into `sim.nic.stalls` by finalize_run.
+    std::int64_t nic_stalls = 0;
     std::size_t fired = 0;
     /// Wall seconds this shard spent executing its last epoch window
     /// (observability only — never feeds back into simulated time).

@@ -450,8 +450,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
         registry.gauge("sim.parallel.barrier_wait_s");
     static obs::Counter& empty_epoch_count =
         registry.counter("sim.parallel.empty_epochs");
-    static obs::Counter& nic_conflict_count =
-        registry.counter("sim.parallel.nic_shard_conflicts");
     static obs::Gauge& coordinator_gauge =
         registry.gauge("sim.parallel.coordinator_s");
     static obs::Gauge& sort_gauge = registry.gauge("sim.parallel.sort_s");
@@ -462,9 +460,6 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     shard_gauge.set(static_cast<double>(shard_count));
     barrier_wait.set(barrier_wait_seconds);
     empty_epoch_count.add(static_cast<std::int64_t>(empty_epochs));
-    std::int64_t nic_conflicts = 0;
-    for (const Shard& shard : shards) nic_conflicts += shard.nic_conflicts;
-    nic_conflict_count.add(nic_conflicts);
     coordinator_gauge.set(coordinator_seconds);
     sort_gauge.set(sort_seconds);
     inject_gauge.set(inject_seconds);

@@ -4,7 +4,9 @@
 
 #include "fault/injector.hpp"
 #include "network/topology.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace krak::simapp {
 
@@ -164,35 +166,43 @@ std::size_t SimKrak::iteration_op_count(const partition::SubdomainInfo& sub) {
   return count;
 }
 
-SimKrak::IterationTemplate SimKrak::build_iteration_template(
-    partition::PeId pe) const {
+sim::Schedule SimKrak::build_schedule(partition::PeId pe) const {
   const partition::SubdomainInfo& sub = stats_->subdomain(pe);
   const std::span<const std::int64_t, mesh::kMaterialCount> cells(
       sub.cells_per_material);
-  IterationTemplate tmpl;
-  tmpl.ops.reserve(iteration_op_count(sub));
+  util::Rng rng(rank_seed(options_.noise_seed, pe));
+  // A noisy "measurement" of the ground-truth phase time, scaled by the
+  // machine's compute speed: one draw per phase per iteration, from the
+  // rank's own stream.
+  const auto compute_time = [&](const PhaseSpec& phase) {
+    const double seconds =
+        options_.enable_noise
+            ? costs_.measured_subgrid_time(phase.number, cells, rng)
+            : costs_.subgrid_time(phase.number, cells);
+    return seconds / machine_.compute_speedup;
+  };
+  const std::size_t per_iteration = iteration_op_count(sub);
+  sim::Schedule schedule;
+  schedule.reserve(per_iteration *
+                   static_cast<std::size_t>(options_.iterations));
 
   for (const PhaseSpec& phase : iteration_phases()) {
-    // Computation: the noise-free ground-truth phase time; replay
-    // overwrites it with the iteration's noise draw when noise is on.
-    tmpl.compute_ops.emplace_back(tmpl.ops.size(), phase.number);
-    tmpl.ops.push_back(sim::Op::compute(
-        costs_.subgrid_time(phase.number, cells) / machine_.compute_speedup));
+    schedule.push_back(sim::Op::compute(compute_time(phase)));
 
     switch (phase.action) {
       case PhaseAction::kBroadcastPair:
-        tmpl.ops.push_back(sim::Op::broadcast(4.0));
-        tmpl.ops.push_back(sim::Op::broadcast(8.0));
+        schedule.push_back(sim::Op::broadcast(4.0));
+        schedule.push_back(sim::Op::broadcast(8.0));
         break;
       case PhaseAction::kBoundaryExchange:
-        tmpl.ops.push_back(sim::Op::broadcast(4.0));
-        tmpl.ops.push_back(sim::Op::broadcast(8.0));
-        append_boundary_exchange(tmpl.ops, sub);
-        tmpl.ops.push_back(sim::Op::gather(32.0));
+        schedule.push_back(sim::Op::broadcast(4.0));
+        schedule.push_back(sim::Op::broadcast(8.0));
+        append_boundary_exchange(schedule, sub);
+        schedule.push_back(sim::Op::gather(32.0));
         break;
       case PhaseAction::kGhostUpdate8:
       case PhaseAction::kGhostUpdate16:
-        append_ghost_update(tmpl.ops, sub, phase.ghost_bytes(), phase.number);
+        append_ghost_update(schedule, sub, phase.ghost_bytes(), phase.number);
         break;
       case PhaseAction::kComputationOnly:
         break;
@@ -200,108 +210,34 @@ SimKrak::IterationTemplate SimKrak::build_iteration_template(
 
     // The global reductions separating phases (Table 1 sync points).
     for (double size : phase.sync_sizes) {
-      tmpl.ops.push_back(sim::Op::allreduce(size));
+      schedule.push_back(sim::Op::allreduce(size));
     }
     // All ranks leave the final allreduce at the same simulated time,
     // so this marker is a globally consistent phase boundary.
-    tmpl.record_ops.push_back(tmpl.ops.size());
-    tmpl.ops.push_back(sim::Op::record(phase.number - 1));
+    schedule.push_back(sim::Op::record(phase.number - 1));
   }
-  util::require_internal(tmpl.ops.size() == iteration_op_count(sub),
+  util::require_internal(schedule.size() == per_iteration,
                          "iteration op count drifted from the builder");
-  return tmpl;
-}
 
-sim::Schedule SimKrak::build_schedule_replay(partition::PeId pe) const {
-  const partition::SubdomainInfo& sub = stats_->subdomain(pe);
-  const IterationTemplate tmpl = build_iteration_template(pe);
-  const std::span<const std::int64_t, mesh::kMaterialCount> cells(
-      sub.cells_per_material);
-  util::Rng rng(rank_seed(options_.noise_seed, pe));
-
-  sim::Schedule schedule;
-  schedule.reserve(tmpl.ops.size() *
-                   static_cast<std::size_t>(options_.iterations));
-  for (std::int32_t iter = 0; iter < options_.iterations; ++iter) {
-    const std::size_t base = schedule.size();
-    schedule.insert(schedule.end(), tmpl.ops.begin(), tmpl.ops.end());
-    if (options_.enable_noise) {
-      // Resample in exactly the rebuild path's draw order — one draw
-      // per phase per iteration from the same per-rank stream — so the
-      // two paths are bit-identical (golden-tested).
-      for (const auto& [pos, phase] : tmpl.compute_ops) {
-        double compute_time = costs_.measured_subgrid_time(phase, cells, rng);
-        compute_time /= machine_.compute_speedup;
-        schedule[base + pos].duration = compute_time;
+  // Later iterations differ from the first only in their compute draws
+  // and record slots: copy iteration 0, then redraw each compute op in
+  // phase order (the stream's order above) and shift each slot.
+  for (std::int32_t iter = 1; iter < options_.iterations; ++iter) {
+    std::size_t phase = 0;
+    for (std::size_t pos = 0; pos < per_iteration; ++pos) {
+      sim::Op op = schedule[pos];
+      if (op.kind == sim::OpKind::kCompute) {
+        if (options_.enable_noise) {
+          op.payload = compute_time(iteration_phases()[phase]);
+        }
+        ++phase;
+      } else if (op.kind == sim::OpKind::kRecord) {
+        op.label += iter * kPhaseCount;
       }
-    }
-    if (iter > 0) {
-      for (const std::size_t pos : tmpl.record_ops) {
-        schedule[base + pos].slot =
-            tmpl.ops[pos].slot + iter * kPhaseCount;
-      }
+      schedule.push_back(op);
     }
   }
   return schedule;
-}
-
-sim::Schedule SimKrak::build_schedule_rebuild(partition::PeId pe) const {
-  const partition::SubdomainInfo& sub = stats_->subdomain(pe);
-  util::Rng rng(rank_seed(options_.noise_seed, pe));
-  sim::Schedule schedule;
-  schedule.reserve(iteration_op_count(sub) *
-                   static_cast<std::size_t>(options_.iterations));
-
-  const std::span<const std::int64_t, mesh::kMaterialCount> cells(
-      sub.cells_per_material);
-
-  for (std::int32_t iter = 0; iter < options_.iterations; ++iter) {
-    for (const PhaseSpec& phase : iteration_phases()) {
-      // Computation: a noisy "measurement" of the ground-truth phase
-      // time, scaled by the machine's compute speed.
-      double compute_time =
-          options_.enable_noise
-              ? costs_.measured_subgrid_time(phase.number, cells, rng)
-              : costs_.subgrid_time(phase.number, cells);
-      compute_time /= machine_.compute_speedup;
-      schedule.push_back(sim::Op::compute(compute_time));
-
-      switch (phase.action) {
-        case PhaseAction::kBroadcastPair:
-          schedule.push_back(sim::Op::broadcast(4.0));
-          schedule.push_back(sim::Op::broadcast(8.0));
-          break;
-        case PhaseAction::kBoundaryExchange:
-          schedule.push_back(sim::Op::broadcast(4.0));
-          schedule.push_back(sim::Op::broadcast(8.0));
-          append_boundary_exchange(schedule, sub);
-          schedule.push_back(sim::Op::gather(32.0));
-          break;
-        case PhaseAction::kGhostUpdate8:
-        case PhaseAction::kGhostUpdate16:
-          append_ghost_update(schedule, sub, phase.ghost_bytes(),
-                              phase.number);
-          break;
-        case PhaseAction::kComputationOnly:
-          break;
-      }
-
-      // The global reductions separating phases (Table 1 sync points).
-      for (double size : phase.sync_sizes) {
-        schedule.push_back(sim::Op::allreduce(size));
-      }
-      // All ranks leave the final allreduce at the same simulated time,
-      // so this marker is a globally consistent phase boundary.
-      schedule.push_back(
-          sim::Op::record(iter * kPhaseCount + (phase.number - 1)));
-    }
-  }
-  return schedule;
-}
-
-sim::Schedule SimKrak::build_schedule(partition::PeId pe) const {
-  return options_.replay_schedules ? build_schedule_replay(pe)
-                                   : build_schedule_rebuild(pe);
 }
 
 SimKrakResult SimKrak::run() const {
@@ -337,8 +273,18 @@ SimKrakResult SimKrak::run() const {
     simulator.set_watchdog(injector->watchdog());
   }
   if (options_.cancel != nullptr) simulator.set_cancellation(options_.cancel);
+  const util::Stopwatch build_watch;
+  std::int64_t ops = 0;
   for (partition::PeId pe = 0; pe < ranks; ++pe) {
-    simulator.set_schedule(pe, build_schedule(pe));
+    sim::Schedule schedule = build_schedule(pe);
+    ops += static_cast<std::int64_t>(schedule.size());
+    simulator.set_schedule(pe, std::move(schedule));
+  }
+  if (obs::enabled()) {
+    obs::Registry& registry = obs::global_registry();
+    registry.timer("simapp.schedule_build.seconds")
+        .record(build_watch.seconds());
+    registry.counter("sim.schedule.ops").add(ops);
   }
   sim::SimResult sim_result = simulator.run();
 

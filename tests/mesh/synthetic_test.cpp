@@ -62,6 +62,25 @@ TEST(Synthetic, TextFormatRoundTripsExactly) {
             make_synthetic_deck(spec).materials());
 }
 
+TEST(Synthetic, RoundTripIsExactForNonShortDoubles) {
+  // Values with more than the stream's default 6 significant digits
+  // must read back bit for bit, not rounded to 0.123457.
+  SyntheticSpec spec;
+  spec.nx = 64;
+  spec.ny = 16;
+  spec.layers = {{Material::kHEGas, 0.123456789},
+                 {Material::kAluminumInner, 1.0 - 0.123456789}};
+  spec.detonator = Point{1.23456789, 1.0 / 3.0};
+  std::stringstream stream;
+  write_synthetic(stream, spec);
+  const SyntheticSpec parsed = read_synthetic(stream);
+  ASSERT_EQ(parsed.layers.size(), spec.layers.size());
+  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
+    EXPECT_EQ(parsed.layers[i].fraction, spec.layers[i].fraction);
+  }
+  EXPECT_EQ(parsed.detonator, spec.detonator);
+}
+
 TEST(Synthetic, OmittedDetonatorUsesPaperPlacement) {
   SyntheticSpec spec = paper_synthetic_spec(128, 50);
   std::stringstream stream;

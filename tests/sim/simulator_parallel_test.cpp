@@ -338,6 +338,80 @@ TEST(SimulatorParallel, NicContentionIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(SimulatorParallel, NicStallsCountedByEveryEngine) {
+  // sim.nic.stalls is exported by finalize_run, so the oracle reports
+  // the stalls it always counted, and the shard-local adapter model
+  // counts exactly the same ones at every thread count.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& stalls = obs::global_registry().counter("sim.nic.stalls");
+  const std::int32_t ranks = 32;
+  std::vector<std::int64_t> counts;
+  for (std::int32_t threads : {1, 2, 8}) {
+    Simulator sim = make_nic_simulator(ranks, threads, /*pes_per_node=*/4);
+    install_ring_workload(sim, ranks, /*rounds=*/10);
+    const std::int64_t before = stalls.value();
+    (void)sim.run();
+    counts.push_back(stalls.value() - before);
+  }
+  obs::set_enabled(was_enabled);
+  EXPECT_GT(counts[0], 0);
+  EXPECT_EQ(counts[1], counts[0]);
+  EXPECT_EQ(counts[2], counts[0]);
+}
+
+TEST(SimulatorParallel, OutOfOrderSendCompletionsWaitForTheLatest) {
+  // Every rank posts an inter-node isend, then an intra-node one. The
+  // second waits behind the first at the shared adapter but hands off
+  // after a much shorter latency, so it completes first, and the wait
+  // must still run to the inter-node completion.
+  constexpr double kIntraLatency = 1e-6;
+  constexpr double kInterLatency = 8e-6;
+  constexpr double kBytes = 1000.0;
+  constexpr double kInjectBandwidth = 1e9;  // 1 us per payload
+  const std::int32_t ranks = 8;
+  auto run_with = [&](std::int32_t threads) {
+    SimConfig config;
+    config.send_overhead = 0.0;
+    config.recv_overhead = 0.0;
+    config.threads = threads;
+    Simulator sim(ranks, network::make_hockney_model(kInterLatency, 1e9),
+                  config);
+    sim.set_pair_network(std::make_shared<network::HierarchicalNetwork>(
+        network::make_hockney_model(kIntraLatency, 1e10),
+        network::make_hockney_model(kInterLatency, 1e9),
+        network::Placement(ranks, 4)));
+    NicConfig nic;
+    nic.enabled = true;
+    nic.pes_per_node = 4;
+    nic.injection_bandwidth = kInjectBandwidth;
+    sim.set_nic(nic);
+    for (RankId r = 0; r < ranks; ++r) {
+      const RankId remote = (r + 4) % ranks;
+      const RankId local = r ^ 1;
+      sim.set_schedule(r, {Op::isend(remote, kBytes, 0),
+                           Op::isend(local, kBytes, 0), Op::wait_all_sends(),
+                           Op::recv(remote, kBytes, 0),
+                           Op::recv(local, kBytes, 0)});
+    }
+    return sim.run();
+  };
+  const SimResult reference = run_with(1);
+  // The first rank of each node finds its adapter free: its inter-node
+  // send completes at kInterLatency, its intra-node one at
+  // inject + kIntraLatency = 2 us, so the wait lasts kInterLatency.
+  constexpr double kInject = kBytes / kInjectBandwidth;
+  EXPECT_EQ(reference.breakdown[0].send_wait, kInterLatency);
+  EXPECT_EQ(reference.breakdown[4].send_wait, kInterLatency);
+  // The second rank's inter-node payload queues behind the first
+  // rank's two.
+  EXPECT_EQ(reference.breakdown[1].send_wait,
+            (kInject + kInject) + kInterLatency);
+  for (std::int32_t threads : {2, 8}) {
+    expect_identical(reference, run_with(threads));
+  }
+}
+
 TEST(SimulatorParallel, NicOnPartialLastNodeIdentical) {
   // 10 ranks on 4-wide NIC nodes: the last node is half-occupied, the
   // unit count does not divide the shard count, and shards must still

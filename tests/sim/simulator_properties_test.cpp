@@ -64,7 +64,7 @@ TEST_P(RingTest, MakespanAtLeastCriticalRankWork) {
     Schedule schedule = ring_schedule(r, ranks, rank_rng);
     for (const Op& op : schedule) {
       if (op.kind == OpKind::kCompute) {
-        work[static_cast<std::size_t>(r)] += op.duration;
+        work[static_cast<std::size_t>(r)] += op.duration();
       }
     }
     sim.set_schedule(r, std::move(schedule));

@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the simulator's hot path
 // (docs/PERFORMANCE.md): the slab-backed event queue, the
-// open-addressing mailbox, schedule construction, and the end-to-end
+// open-addressing mailbox, the SimKrak op generator, and the end-to-end
 // event loop.
 // CI's perf-smoke job runs this with --benchmark_min_time=0.05 as a
 // does-it-still-run canary; run it bare for stable numbers.
@@ -89,27 +89,31 @@ simapp::SimKrakOptions hot_loop_options() {
   return options;
 }
 
-// Schedule construction alone: every rank's op stream for the run,
-// items = ops built per second.
-void BM_ScheduleBuild(benchmark::State& state) {
+// The op generator alone: every rank's stream drained through
+// SimKrak::Generator, the way the engine reads it (one op at a time,
+// nothing stored), items = ops generated per second.
+void BM_OpGenerator(benchmark::State& state) {
   const HotLoopEnv& env = hot_loop_env();
   const mesh::InputDeck deck = mesh::make_standard_deck(mesh::DeckSize::kSmall);
   const partition::Partition part = partition::partition_deck(
       deck, 64, partition::PartitionMethod::kMultilevel, 1);
   const simapp::SimKrak app(deck, part, env.machine, env.engine,
                             hot_loop_options());
+  simapp::SimKrak::Generator generator(app);
   std::size_t ops = 0;
   for (auto _ : state) {
+    generator.on_run_start(part.parts());
+    sim::Op op;
     for (partition::PeId pe = 0; pe < part.parts(); ++pe) {
-      const sim::Schedule schedule = app.build_schedule(pe);
-      ops += schedule.size();
-      benchmark::DoNotOptimize(schedule.data());
+      while (generator.next(pe, op)) {
+        ++ops;
+        benchmark::DoNotOptimize(op);
+      }
     }
-    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
-BENCHMARK(BM_ScheduleBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OpGenerator)->Unit(benchmark::kMillisecond);
 
 // End-to-end hot loop: the full simulated Krak iteration at the event
 // engine's steady state, items = events drained per second.

@@ -93,7 +93,8 @@ Simulator::Simulator(std::int32_t ranks, network::MessageCostModel network,
     : network_(network),
       collectives_(network),
       config_(config),
-      schedules_(static_cast<std::size_t>(ranks)) {
+      ranks_(ranks),
+      schedules_(std::max(ranks, 0)) {
   check(ranks > 0, "Simulator requires at least one rank");
 }
 
@@ -113,8 +114,10 @@ void Simulator::set_schedule(RankId rank, Schedule schedule) {
       check(op.bytes() >= 0.0, "message size must be non-negative");
     }
   }
-  schedules_[static_cast<std::size_t>(rank)] = std::move(schedule);
+  schedules_.set(rank, std::move(schedule));
 }
+
+void Simulator::set_op_source(OpSource* source) { source_ = source; }
 
 void Simulator::set_nic(NicConfig nic) {
   check(nic.pes_per_node > 0, "NIC pes_per_node must be positive");
@@ -184,6 +187,8 @@ void Simulator::begin_run(SimResult& result) {
   collective_base_ = 0;
   collective_high_water_ = 0;
   lost_.clear();
+  ops_ = source_ != nullptr ? source_ : &schedules_;
+  ops_->on_run_start(n);
   if (fault_ != nullptr) fault_->on_run_start(n);
 
   result.finish_times.assign(static_cast<std::size_t>(n), 0.0);
@@ -246,6 +251,7 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
   const std::int32_t n = ranks();
   result.events_processed = events_fired;
   std::int64_t nic_stalls = 0;
+  std::int64_t ops_read = 0;
   for (Shard& shard : shards) {
     nic_stalls += shard.nic_stalls;
     result.max_queue_depth =
@@ -271,6 +277,8 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
   for (RankId r = 0; r < n; ++r) {
     const auto index = static_cast<std::size_t>(r);
     result.mailbox_probes += states_[index].mailbox.probes();
+    ops_read += static_cast<std::int64_t>(states_[index].pc) +
+                (states_[index].op_ready ? 1 : 0);
     result.traffic.point_to_point_bytes += states_[index].sent_bytes;
     result.faults.fault_delay_seconds += result.breakdown[index].fault_delay;
     result.faults.recovery_seconds += result.breakdown[index].recovery;
@@ -328,6 +336,7 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
     static obs::Counter& probes = registry.counter("sim.mailbox.probes");
     static obs::Counter& messages = registry.counter("sim.p2p_messages");
     static obs::Counter& stalls = registry.counter("sim.nic.stalls");
+    static obs::Counter& schedule_ops = registry.counter("sim.schedule.ops");
     static obs::Gauge& depth = registry.gauge("sim.max_queue_depth");
     static obs::Gauge& collective_high_water =
         registry.gauge("sim.collective_states_high_water");
@@ -337,6 +346,7 @@ void Simulator::finalize_run(SimResult& result, std::vector<Shard>& shards,
     probes.add(static_cast<std::int64_t>(result.mailbox_probes));
     messages.add(result.traffic.point_to_point_messages);
     stalls.add(nic_stalls);
+    schedule_ops.add(ops_read);
     depth.set(static_cast<double>(result.max_queue_depth));
     collective_high_water.set(static_cast<double>(collective_high_water_));
     if (fault_ != nullptr) {
@@ -364,9 +374,9 @@ SimFailure Simulator::diagnose_stuck_rank(RankId rank) const {
   // advances pc past the collective before parking the rank, so pc
   // would misname the op (or point past the schedule's end).
   failure.op_index = state.blocked ? state.blocked_op : state.pc;
-  const Schedule& schedule = schedules_[static_cast<std::size_t>(rank)];
-  if (failure.op_index < schedule.size()) {
-    const Op& op = schedule[failure.op_index];
+  // A blocked rank still holds the op it blocked on (see RankState::op).
+  if (state.blocked || state.op_ready) {
+    const Op& op = state.op;
     failure.has_op = true;
     failure.op = op.kind;
     failure.peer = op.peer;
@@ -438,7 +448,6 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
   if (state.finished || state.timed_out) return;
   state.blocked = false;
   state.reason = BlockReason::kNone;
-  const Schedule& schedule = schedules_[static_cast<std::size_t>(rank)];
   RankTimeBreakdown& breakdown =
       result.breakdown[static_cast<std::size_t>(rank)];
 
@@ -447,11 +456,11 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
     failure.kind = SimFailure::Kind::kTimeLimit;
     failure.rank = rank;
     failure.op_index = state.pc;
-    if (state.pc < schedule.size()) {
+    if (state.op_ready) {
       failure.has_op = true;
-      failure.op = schedule[state.pc].kind;
-      failure.peer = schedule[state.pc].peer;
-      failure.tag = schedule[state.pc].tag();
+      failure.op = state.op.kind;
+      failure.peer = state.op.peer;
+      failure.tag = state.op.tag();
     }
     std::ostringstream os;
     os << "(clock " << state.clock << " s > bound " << watchdog_.max_sim_seconds
@@ -461,7 +470,17 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
     state.timed_out = true;
   };
 
-  while (state.pc < schedule.size() && !state.blocked) {
+  // Executing an op consumes it: pc moves on and the next loop turn
+  // reads the following op from the source.
+  const auto consume = [&state] {
+    ++state.pc;
+    state.op_ready = false;
+  };
+  while (!state.blocked) {
+    if (!state.op_ready) {
+      if (!ops_->next(rank, state.op)) break;  // stream done
+      state.op_ready = true;
+    }
     if (watchdog_.max_sim_seconds > 0.0 &&
         state.clock > watchdog_.max_sim_seconds) {
       // The rank ran past the simulated-time bound: stop executing its
@@ -470,7 +489,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       trip_time_limit();
       return;
     }
-    const Op& op = schedule[state.pc];
+    const Op& op = state.op;
     switch (op.kind) {
       case OpKind::kCompute: {
         if (fault_ != nullptr) {
@@ -492,7 +511,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
         }
         state.clock += op.duration();
         breakdown.compute += op.duration();
-        ++state.pc;
+        consume();
         break;
       }
       case OpKind::kIsend: {
@@ -508,6 +527,12 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           // align to NIC-node boundaries (shard_unit), so this node's
           // slot is touched by no other worker, and events fire in true
           // time order per shard, so the updates replay the oracle's.
+          const RankId node_first = rank - rank % nic_.pes_per_node;
+          const RankId node_last =
+              std::min(ranks(), node_first + nic_.pes_per_node) - 1;
+          KRAK_ASSERT(shard.owns(node_first) && shard.owns(node_last),
+                      "a NIC node must lie wholly inside the shard that "
+                      "sends through its adapter");
           const auto node =
               static_cast<std::size_t>(rank / nic_.pes_per_node);
           if (nic_free_[node] > inject_at) {
@@ -555,7 +580,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           // starved receiver is diagnosed at drain time.
           ++shard.faults.messages_lost;
           ++shard.lost[{rank, to, tag}];
-          ++state.pc;
+          consume();
           break;
         }
         if (shard.parallel && !shard.owns(to)) {
@@ -576,7 +601,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
           shard.queue.schedule(arrival,
                                SimEvent::arrival(to, rank, tag, arrival));
         }
-        ++state.pc;
+        consume();
         break;
       }
       case OpKind::kWaitAllSends: {
@@ -584,7 +609,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
         state.clock = std::max(state.clock, state.send_completion);
         breakdown.send_wait += state.clock - before;
         state.send_completion = 0.0;
-        ++state.pc;
+        consume();
         break;
       }
       case OpKind::kRecv: {
@@ -600,7 +625,7 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
         }
         state.clock = std::max(state.clock, arrival) + config_.recv_overhead;
         breakdown.recv_overhead += config_.recv_overhead;
-        ++state.pc;
+        consume();
         break;
       }
       case OpKind::kAllreduce:
@@ -612,12 +637,12 @@ void Simulator::step_rank(Shard& shard, RankId rank, SimResult& result) {
       case OpKind::kRecord: {
         result.records[static_cast<std::size_t>(rank)].append(op.slot(),
                                                               state.clock);
-        ++state.pc;
+        consume();
         break;
       }
     }
   }
-  if (state.pc >= schedule.size() && !state.blocked) {
+  if (!state.blocked) {
     if (watchdog_.max_sim_seconds > 0.0 &&
         state.clock > watchdog_.max_sim_seconds) {
       // The loop-head check only sees the clock before each op, so a
@@ -638,6 +663,7 @@ void Simulator::enter_collective(Shard& shard, RankId rank, const Op& op) {
   // op; blocked_op keeps naming the collective for diagnostics.
   state.blocked_op = state.pc;
   ++state.pc;
+  state.op_ready = false;
   state.blocked = true;
   state.reason = BlockReason::kCollectiveWait;
 

@@ -112,6 +112,28 @@ class FaultInjector {
                                    std::int64_t send_index) = 0;
 };
 
+/// Where every rank's op stream comes from. The engine reads each op
+/// exactly once, in stream order, at the moment the rank reaches it, so
+/// a source can derive ops on demand instead of storing them (SimKrak's
+/// generator) or replay stored ones (Simulator::set_schedule).
+///
+/// Thread-safety contract: as for FaultInjector — the parallel engine
+/// calls next() concurrently from worker shards, but always for
+/// disjoint rank sets, so per-rank cursor state needs no locking.
+class OpSource {
+ public:
+  virtual ~OpSource() = default;
+
+  /// Called once at the start of every Simulator::run: rewind every
+  /// rank's stream to its first op.
+  virtual void on_run_start(std::int32_t ranks) = 0;
+
+  /// Write `rank`'s next op into `op` and return true, or return false
+  /// once the rank's stream is done. Kinds, peers and sizes must obey
+  /// the rules set_schedule checks; the engine does not re-check them.
+  virtual bool next(RankId rank, Op& op) = 0;
+};
+
 /// Watchdog policy: how the simulator reports runs that cannot finish.
 struct WatchdogConfig {
   /// Convert would-be hangs (deadlocks, receives of lost messages) into
@@ -348,8 +370,9 @@ struct SimResult {
 
 /// Discrete-event simulator of message-passing ranks.
 ///
-/// Each rank executes a static Schedule of compute, point-to-point, and
-/// collective operations. Point-to-point messages incur the machine's
+/// Each rank executes a stream of compute, point-to-point, and
+/// collective operations read through an OpSource — explicit Schedules
+/// by default. Point-to-point messages incur the machine's
 /// Tmsg(S) (Equation 4) on the wire but only an injection overhead on
 /// the sender's CPU, so sends to multiple neighbors overlap — the key
 /// semantic the analytic model deliberately ignores (Equations 5-7
@@ -360,12 +383,17 @@ class Simulator {
   Simulator(std::int32_t ranks, network::MessageCostModel network,
             SimConfig config = {});
 
-  [[nodiscard]] std::int32_t ranks() const {
-    return static_cast<std::int32_t>(schedules_.size());
-  }
+  [[nodiscard]] std::int32_t ranks() const { return ranks_; }
 
-  /// Install the schedule for one rank (replaces any existing one).
+  /// Install the explicit schedule for one rank (replaces any existing
+  /// one). Peers, durations and sizes are checked here, once, so the
+  /// engine can trust every op it reads. Explicit schedules are the
+  /// simulator's default op source.
   void set_schedule(RankId rank, Schedule schedule);
+
+  /// Read every rank's ops from `source` instead of the explicit
+  /// schedules (nullptr reverts to them). Not owned; must outlive run().
+  void set_op_source(OpSource* source);
 
   /// Configure the shared-NIC injection model (see NicConfig).
   void set_nic(NicConfig nic);
@@ -410,7 +438,14 @@ class Simulator {
   enum class BlockReason : std::uint8_t { kNone, kRecvWait, kCollectiveWait };
   struct RankState {
     double clock = 0.0;
+    /// Ops this rank completed (or entered, for a collective): the
+    /// stream index of `op` while `op_ready`.
     std::size_t pc = 0;
+    /// The last op read from the op source. While `op_ready` it is op
+    /// `pc`, not yet executed; a rank parked in a collective keeps the
+    /// collective here for diagnosis, since no later op is read until
+    /// the release.
+    Op op;
     /// Index of the op the rank is blocked on. enter_collective advances
     /// pc past the collective before parking the rank, so pc alone
     /// misidentifies the blocking op in deadlock reports.
@@ -421,6 +456,8 @@ class Simulator {
     /// The watchdog's time bound fired on this rank; it executes no
     /// further ops but is not counted as deadlocked at drain.
     bool timed_out = false;
+    /// `op` is read but not yet executed (see `op`).
+    bool op_ready = false;
     /// Latest local completion among the sends posted since the last
     /// kWaitAllSends. The wait only reduces them with max, so a running
     /// max is exact in any posting order; clocks are non-negative, so
@@ -523,9 +560,11 @@ class Simulator {
     /// Summed over shards into `sim.nic.stalls` by finalize_run.
     std::int64_t nic_stalls = 0;
     std::size_t fired = 0;
-    /// Wall seconds this shard spent executing its last epoch window
-    /// (observability only — never feeds back into simulated time).
-    double busy_seconds = 0.0;
+    /// When this shard's last epoch window started and ended, in wall
+    /// seconds on the run's stopwatch (observability only — never feeds
+    /// back into simulated time).
+    double window_start = 0.0;
+    double window_end = 0.0;
     /// Published at window end by the worker (and refreshed by the
     /// barrier's apply phase after injections): the shard queue's
     /// next_time(), +infinity when drained. The coordinator reduces
@@ -596,10 +635,42 @@ class Simulator {
   /// nic_free_[node]: the earliest time the node's adapter can accept
   /// another payload. Safe under the parallel engine without locks:
   /// shard boundaries align to NIC-node boundaries (shard_unit), so
-  /// each node's slot is read and written by exactly one worker.
+  /// each node's slot is read and written by exactly one worker (a
+  /// KRAK_ASSERT on every shared-NIC send checks the ownership).
   std::vector<double> nic_free_;
   SimConfig config_;
-  std::vector<Schedule> schedules_;
+  std::int32_t ranks_ = 0;
+  /// The vector-backed op source behind set_schedule: each rank's
+  /// schedule plus a read cursor into it.
+  class ExplicitSchedules final : public OpSource {
+   public:
+    explicit ExplicitSchedules(std::int32_t ranks)
+        : schedules_(static_cast<std::size_t>(ranks)) {}
+    void set(RankId rank, Schedule schedule) {
+      schedules_[static_cast<std::size_t>(rank)] = std::move(schedule);
+    }
+    void on_run_start(std::int32_t ranks) override {
+      cursors_.assign(static_cast<std::size_t>(ranks), 0);
+    }
+    bool next(RankId rank, Op& op) override {
+      const auto index = static_cast<std::size_t>(rank);
+      const Schedule& schedule = schedules_[index];
+      std::size_t& cursor = cursors_[index];
+      if (cursor == schedule.size()) return false;
+      op = schedule[cursor++];
+      return true;
+    }
+
+   private:
+    std::vector<Schedule> schedules_;
+    std::vector<std::size_t> cursors_;
+  };
+  ExplicitSchedules schedules_;
+  /// Installed by set_op_source; null reads the explicit schedules.
+  OpSource* source_ = nullptr;
+  /// The source of the current run (begin_run): the engine's one read
+  /// path.
+  OpSource* ops_ = nullptr;
   std::vector<RankState> states_;
   /// In-flight collective windows, indexed by `collective index -
   /// collective_base_`. Released collectives are reclaimed eagerly:

@@ -145,7 +145,14 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
   std::uint64_t epochs = 0;
   std::uint64_t empty_epochs = 0;
   std::uint64_t cross_messages = 0;
-  double barrier_wait_seconds = 0.0;
+  // Per-shard barrier idle of the pooled window phase, split by cause
+  // and summed over shards and epochs: `unscheduled` is the wait from
+  // the epoch's start until a worker picked the shard's window up (its
+  // worker was running another shard), `imbalance` the wait from the
+  // window's end until the epoch's end (the shard finished early).
+  double unscheduled_seconds = 0.0;
+  double imbalance_seconds = 0.0;
+  const util::Stopwatch run_clock;
   // The Amdahl numerator: wall seconds of the sections only the
   // coordinator thread executes (exported as sim.parallel.coordinator_s
   // and BENCH's coordinator_serial_fraction).
@@ -174,7 +181,7 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
                                     bool degenerate,
                                     std::size_t budget_left) {
     Shard& shard = shards[i];
-    const util::Stopwatch shard_watch;
+    shard.window_start = run_clock.seconds();
     shard.outbound_count = 0;
     shard.fired =
         shard.queue
@@ -223,7 +230,7 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
         shard.outbound_count > 0 || !shard.collective_aggregates.empty();
     shard.next_time = shard.queue.next_time();
     shard.sort_seconds += sort_watch.seconds();
-    shard.busy_seconds = shard_watch.seconds();
+    shard.window_end = run_clock.seconds();
   };
 
   // Barrier apply phase, one task per destination shard: k-way-merge
@@ -314,17 +321,19 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     ++epochs;
 
     if (pool) {
-      const util::Stopwatch epoch_watch;
+      const double epoch_start = run_clock.seconds();
       pool->parallel_for_chunked(
           shards.size(), 1, [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
               run_shard_window(i, horizon, degenerate, budget_left);
             }
           });
-      const double epoch_seconds = epoch_watch.seconds();
+      // One monotonic clock read in happens-before order on both sides
+      // of every window, so both waits are >= 0 exactly.
+      const double epoch_end = run_clock.seconds();
       for (const Shard& shard : shards) {
-        barrier_wait_seconds +=
-            std::max(0.0, epoch_seconds - shard.busy_seconds);
+        unscheduled_seconds += shard.window_start - epoch_start;
+        imbalance_seconds += epoch_end - shard.window_end;
       }
     } else {
       // Single worker: no barrier exists, so no wait is recorded.
@@ -448,6 +457,9 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     static obs::Gauge& shard_gauge = registry.gauge("sim.parallel.shards");
     static obs::Gauge& barrier_wait =
         registry.gauge("sim.parallel.barrier_wait_s");
+    static obs::Timer& unscheduled =
+        registry.timer("sim.parallel.unscheduled_s");
+    static obs::Timer& imbalance = registry.timer("sim.parallel.imbalance_s");
     static obs::Counter& empty_epoch_count =
         registry.counter("sim.parallel.empty_epochs");
     static obs::Gauge& coordinator_gauge =
@@ -458,7 +470,10 @@ SimResult Simulator::run_parallel(std::int32_t shard_count) {
     epoch_count.add(static_cast<std::int64_t>(epochs));
     crossings.add(static_cast<std::int64_t>(cross_messages));
     shard_gauge.set(static_cast<double>(shard_count));
-    barrier_wait.set(barrier_wait_seconds);
+    // The gauge is exactly the sum of this run's two timer records.
+    barrier_wait.set(unscheduled_seconds + imbalance_seconds);
+    unscheduled.record(unscheduled_seconds);
+    imbalance.record(imbalance_seconds);
     empty_epoch_count.add(static_cast<std::int64_t>(empty_epochs));
     coordinator_gauge.set(coordinator_seconds);
     sort_gauge.set(sort_seconds);

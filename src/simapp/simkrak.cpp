@@ -6,7 +6,6 @@
 #include "network/topology.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace krak::simapp {
 
@@ -54,197 +53,236 @@ SimKrak::SimKrak(const mesh::InputDeck& deck,
               "partition uses more PEs than the machine has");
   util::check(stats_->parts() == partition_.parts(),
               "stats must describe the partition");
+  // The generator trusts the neighbour lists: check once here what
+  // Simulator::set_schedule would check on every message op.
+  const partition::PeId parts = partition_.parts();
+  for (partition::PeId pe = 0; pe < parts; ++pe) {
+    for (const partition::NeighborBoundary& boundary :
+         stats_->subdomain(pe).neighbors) {
+      util::check(boundary.neighbor >= 0 && boundary.neighbor < parts,
+                  "neighbour pe out of range");
+      util::check(boundary.neighbor != pe, "a pe cannot neighbour itself");
+    }
+  }
 }
 
-void SimKrak::append_boundary_exchange(
-    sim::Schedule& schedule, const partition::SubdomainInfo& sub) const {
-  constexpr std::int32_t kPhase = 2;
-  // Post every asynchronous send first, make sure the sends completed,
-  // then post the blocking receives (Section 4's protocol). Face counts
-  // and the ghost-node augmentation are canonical per PE pair, so both
-  // sides agree on every message size and tag.
-  const auto for_each_message =
-      [&](const auto& emit) {
-        for (const partition::NeighborBoundary& boundary : sub.neighbors) {
-          // One step per material group present on this boundary...
-          for (std::size_t g = 0; g < mesh::kExchangeGroupCount; ++g) {
-            const std::int64_t faces = boundary.faces_per_group[g];
-            if (faces == 0) continue;
-            for (std::int32_t msg = 0; msg < kBoundaryMessagesPerStep; ++msg) {
-              double bytes = kBoundaryBytesPerFace * static_cast<double>(faces);
-              if (msg < kBoundaryAugmentedMessages) {
-                bytes += kBoundaryBytesPerFace *
-                         static_cast<double>(
-                             boundary.multi_material_nodes_per_group[g]);
-              }
-              emit(boundary.neighbor, bytes,
-                   make_tag(kPhase, static_cast<std::int32_t>(g), msg));
-            }
-          }
-          // ...plus the final step over all faces regardless of material.
-          for (std::int32_t msg = 0; msg < kBoundaryMessagesPerStep; ++msg) {
-            const double bytes =
-                kBoundaryBytesPerFace * static_cast<double>(boundary.total_faces);
-            emit(boundary.neighbor, bytes,
-                 make_tag(kPhase, mesh::kExchangeGroupCount, msg));
-          }
-        }
+double SimKrak::compute_time(std::int32_t phase,
+                             const partition::SubdomainInfo& sub,
+                             util::Rng& rng) const {
+  const std::span<const std::int64_t, mesh::kMaterialCount> cells(
+      sub.cells_per_material);
+  const double seconds = options_.enable_noise
+                             ? costs_.measured_subgrid_time(phase, cells, rng)
+                             : costs_.subgrid_time(phase, cells);
+  return seconds / machine_.compute_speedup;
+}
+
+namespace {
+
+/// One entry of the iteration template every rank's stream expands.
+struct Piece {
+  enum class Kind : std::uint8_t {
+    kFixed,     ///< `op` as is: a collective or kWaitAllSends
+    kCompute,   ///< the phase's compute op, drawn per rank
+    kRecord,    ///< the phase's record marker, slotted per iteration
+    kExchange,  ///< boundary-exchange messages, `op.kind` isend or recv
+    kGhost,     ///< ghost-update messages, likewise; `op.payload` holds
+                ///< the bytes per ghost node
+  };
+  Kind kind = Kind::kFixed;
+  std::int32_t phase = 0;  ///< 1-based phase number
+  sim::Op op;
+};
+
+/// One iteration of Table 1, shared by every rank: per phase the
+/// compute op, its communication action, the global reductions
+/// separating it from the next phase (the sync points), and the record
+/// marker. All ranks leave the final allreduce at the same simulated
+/// time, so the marker is a globally consistent phase boundary.
+const std::vector<Piece>& iteration_template() {
+  static const std::vector<Piece> kTemplate = [] {
+    std::vector<Piece> pieces;
+    for (const PhaseSpec& phase : iteration_phases()) {
+      const auto add = [&](Piece::Kind kind, sim::Op op = {}) {
+        pieces.push_back({kind, phase.number, op});
       };
-
-  for_each_message([&](partition::PeId peer, double bytes, std::int32_t tag) {
-    schedule.push_back(sim::Op::isend(peer, bytes, tag));
-  });
-  schedule.push_back(sim::Op::wait_all_sends());
-  for_each_message([&](partition::PeId peer, double bytes, std::int32_t tag) {
-    schedule.push_back(sim::Op::recv(peer, bytes, tag));
-  });
-}
-
-void SimKrak::append_ghost_update(sim::Schedule& schedule,
-                                  const partition::SubdomainInfo& sub,
-                                  double bytes_per_node,
-                                  std::int32_t phase) const {
-  // Two messages per neighbor: the locally-owned ghost nodes go out,
-  // the remotely-owned ones come in (Section 4.2). Ownership is
-  // globally consistent, so my "local" count equals the neighbor's
-  // "remote" count for this boundary.
-  for (const partition::NeighborBoundary& boundary : sub.neighbors) {
-    schedule.push_back(sim::Op::isend(
-        boundary.neighbor,
-        bytes_per_node * static_cast<double>(boundary.ghost_nodes_local),
-        make_tag(phase, 0, 0)));
-  }
-  schedule.push_back(sim::Op::wait_all_sends());
-  for (const partition::NeighborBoundary& boundary : sub.neighbors) {
-    schedule.push_back(sim::Op::recv(
-        boundary.neighbor,
-        bytes_per_node * static_cast<double>(boundary.ghost_nodes_remote),
-        make_tag(phase, 0, 0)));
-  }
-}
-
-std::size_t SimKrak::boundary_exchange_op_count(
-    const partition::SubdomainInfo& sub) {
-  std::size_t messages = 0;
-  for (const partition::NeighborBoundary& boundary : sub.neighbors) {
-    for (std::size_t g = 0; g < mesh::kExchangeGroupCount; ++g) {
-      if (boundary.faces_per_group[g] != 0) {
-        messages += static_cast<std::size_t>(kBoundaryMessagesPerStep);
+      const auto fixed = [&](sim::Op op) { add(Piece::Kind::kFixed, op); };
+      add(Piece::Kind::kCompute);
+      switch (phase.action) {
+        case PhaseAction::kBroadcastPair:
+          fixed(sim::Op::broadcast(4.0));
+          fixed(sim::Op::broadcast(8.0));
+          break;
+        case PhaseAction::kBoundaryExchange:
+          // Post every asynchronous send first, make sure the sends
+          // completed, then post the blocking receives (Section 4's
+          // protocol).
+          fixed(sim::Op::broadcast(4.0));
+          fixed(sim::Op::broadcast(8.0));
+          add(Piece::Kind::kExchange, {0.0, -1, 0, sim::OpKind::kIsend});
+          fixed(sim::Op::wait_all_sends());
+          add(Piece::Kind::kExchange, {0.0, -1, 0, sim::OpKind::kRecv});
+          fixed(sim::Op::gather(32.0));
+          break;
+        case PhaseAction::kGhostUpdate8:
+        case PhaseAction::kGhostUpdate16:
+          add(Piece::Kind::kGhost,
+              {phase.ghost_bytes(), -1, 0, sim::OpKind::kIsend});
+          fixed(sim::Op::wait_all_sends());
+          add(Piece::Kind::kGhost,
+              {phase.ghost_bytes(), -1, 0, sim::OpKind::kRecv});
+          break;
+        case PhaseAction::kComputationOnly:
+          break;
       }
+      for (double size : phase.sync_sizes) fixed(sim::Op::allreduce(size));
+      add(Piece::Kind::kRecord);
     }
-    messages += static_cast<std::size_t>(kBoundaryMessagesPerStep);
-  }
-  return 2 * messages + 1;  // isends + recvs + wait_all_sends
+    return pieces;
+  }();
+  return kTemplate;
 }
 
-std::size_t SimKrak::ghost_update_op_count(
-    const partition::SubdomainInfo& sub) {
-  return 2 * sub.neighbors.size() + 1;
+/// The boundary exchange's next message at the cursor, as `kind`.
+/// Per neighbour: one step per material group present on the boundary,
+/// then the final step over all faces regardless of material; six
+/// messages per step, the first two of a material step augmented by
+/// the boundary's multi-material ghost nodes (Section 4.1). Face counts
+/// and the augmentation are canonical per PE pair, so both sides agree
+/// on every size and tag. False (cursor rewound) once every message of
+/// the piece was written.
+bool next_exchange_message(const partition::SubdomainInfo& sub,
+                           SimKrak::Generator::Cursor& cursor,
+                           sim::OpKind kind, sim::Op& op) {
+  constexpr std::int32_t kPhase = 2;
+  constexpr std::size_t kFinalStep = mesh::kExchangeGroupCount;
+  for (; cursor.neighbor < sub.neighbors.size();
+       ++cursor.neighbor, cursor.step = 0) {
+    const partition::NeighborBoundary& boundary = sub.neighbors[cursor.neighbor];
+    for (; cursor.step <= kFinalStep; ++cursor.step, cursor.message = 0) {
+      const std::size_t g = cursor.step;
+      if (g < kFinalStep && boundary.faces_per_group[g] == 0) continue;
+      if (cursor.message == kBoundaryMessagesPerStep) continue;
+      double bytes;
+      if (g == kFinalStep) {
+        bytes = kBoundaryBytesPerFace * static_cast<double>(boundary.total_faces);
+      } else {
+        bytes = kBoundaryBytesPerFace *
+                static_cast<double>(boundary.faces_per_group[g]);
+        if (cursor.message < kBoundaryAugmentedMessages) {
+          bytes += kBoundaryBytesPerFace *
+                   static_cast<double>(
+                       boundary.multi_material_nodes_per_group[g]);
+        }
+      }
+      op = {bytes, boundary.neighbor,
+            make_tag(kPhase, static_cast<std::int32_t>(g), cursor.message),
+            kind};
+      ++cursor.message;
+      return true;
+    }
+  }
+  cursor.neighbor = 0;
+  return false;
 }
 
-std::size_t SimKrak::iteration_op_count(const partition::SubdomainInfo& sub) {
-  std::size_t count = 0;
-  for (const PhaseSpec& phase : iteration_phases()) {
-    count += 1;  // compute
-    switch (phase.action) {
-      case PhaseAction::kBroadcastPair:
-        count += 2;
+/// A ghost-node update's next message at the cursor: one per
+/// neighbour. The locally-owned ghost nodes go out, the remotely-owned
+/// ones come in (Section 4.2); ownership is globally consistent, so my
+/// "local" count equals the neighbour's "remote" count. False (cursor
+/// rewound) once every neighbour was written.
+bool next_ghost_message(const partition::SubdomainInfo& sub,
+                        SimKrak::Generator::Cursor& cursor,
+                        const Piece& piece, sim::Op& op) {
+  if (cursor.neighbor == sub.neighbors.size()) {
+    cursor.neighbor = 0;
+    return false;
+  }
+  const partition::NeighborBoundary& boundary = sub.neighbors[cursor.neighbor];
+  ++cursor.neighbor;
+  const std::int64_t nodes = piece.op.kind == sim::OpKind::kIsend
+                                 ? boundary.ghost_nodes_local
+                                 : boundary.ghost_nodes_remote;
+  op = {piece.op.payload * static_cast<double>(nodes), boundary.neighbor,
+        make_tag(piece.phase, 0, 0), piece.op.kind};
+  return true;
+}
+
+}  // namespace
+
+void SimKrak::Generator::on_run_start(std::int32_t ranks) {
+  util::check(ranks == app_.partition_.parts(),
+              "generator ranks must match the partition");
+  cursors_.resize(static_cast<std::size_t>(ranks));
+  for (partition::PeId pe = 0; pe < ranks; ++pe) {
+    cursors_[static_cast<std::size_t>(pe)] = start(pe);
+  }
+}
+
+SimKrak::Generator::Cursor SimKrak::Generator::start(partition::PeId pe) const {
+  Cursor cursor;
+  cursor.rng = util::Rng(rank_seed(app_.options_.noise_seed, pe));
+  cursor.pe = pe;
+  return cursor;
+}
+
+// krak: hot
+bool SimKrak::Generator::advance(Cursor& cursor, sim::Op& op) const {
+  const std::vector<Piece>& pieces = iteration_template();
+  const partition::SubdomainInfo& sub =
+      app_.stats_->subdomains()[static_cast<std::size_t>(cursor.pe)];
+  while (cursor.iteration < app_.options_.iterations) {
+    if (cursor.piece == pieces.size()) {
+      cursor.piece = 0;
+      if (++cursor.iteration == app_.options_.iterations && obs::enabled()) {
+        // Once per rank, when its stream runs out: never per op.
+        static obs::Counter& streams =
+            obs::global_registry().counter("simapp.op_streams");
+        streams.add(1);
+      }
+      continue;
+    }
+    const Piece& piece = pieces[cursor.piece];
+    switch (piece.kind) {
+      case Piece::Kind::kFixed:
+        op = piece.op;
+        ++cursor.piece;
+        return true;
+      case Piece::Kind::kCompute:
+        op = sim::Op::compute(app_.compute_time(piece.phase, sub, cursor.rng));
+        ++cursor.piece;
+        return true;
+      case Piece::Kind::kRecord:
+        op = sim::Op::record(piece.phase - 1 + cursor.iteration * kPhaseCount);
+        ++cursor.piece;
+        return true;
+      case Piece::Kind::kExchange:
+        if (next_exchange_message(sub, cursor, piece.op.kind, op)) return true;
         break;
-      case PhaseAction::kBoundaryExchange:
-        count += 2 + boundary_exchange_op_count(sub) + 1;
-        break;
-      case PhaseAction::kGhostUpdate8:
-      case PhaseAction::kGhostUpdate16:
-        count += ghost_update_op_count(sub);
-        break;
-      case PhaseAction::kComputationOnly:
+      case Piece::Kind::kGhost:
+        if (next_ghost_message(sub, cursor, piece, op)) return true;
         break;
     }
-    count += phase.sync_sizes.size();
-    count += 1;  // record
+    ++cursor.piece;  // the point-to-point piece ran out of messages
   }
-  return count;
+  return false;
 }
 
 sim::Schedule SimKrak::build_schedule(partition::PeId pe) const {
-  const partition::SubdomainInfo& sub = stats_->subdomain(pe);
-  const std::span<const std::int64_t, mesh::kMaterialCount> cells(
-      sub.cells_per_material);
-  util::Rng rng(rank_seed(options_.noise_seed, pe));
-  // A noisy "measurement" of the ground-truth phase time, scaled by the
-  // machine's compute speed: one draw per phase per iteration, from the
-  // rank's own stream.
-  const auto compute_time = [&](const PhaseSpec& phase) {
-    const double seconds =
-        options_.enable_noise
-            ? costs_.measured_subgrid_time(phase.number, cells, rng)
-            : costs_.subgrid_time(phase.number, cells);
-    return seconds / machine_.compute_speedup;
-  };
-  const std::size_t per_iteration = iteration_op_count(sub);
+  const Generator generator(*this);
+  Generator::Cursor cursor = generator.start(pe);
   sim::Schedule schedule;
-  schedule.reserve(per_iteration *
-                   static_cast<std::size_t>(options_.iterations));
-
-  for (const PhaseSpec& phase : iteration_phases()) {
-    schedule.push_back(sim::Op::compute(compute_time(phase)));
-
-    switch (phase.action) {
-      case PhaseAction::kBroadcastPair:
-        schedule.push_back(sim::Op::broadcast(4.0));
-        schedule.push_back(sim::Op::broadcast(8.0));
-        break;
-      case PhaseAction::kBoundaryExchange:
-        schedule.push_back(sim::Op::broadcast(4.0));
-        schedule.push_back(sim::Op::broadcast(8.0));
-        append_boundary_exchange(schedule, sub);
-        schedule.push_back(sim::Op::gather(32.0));
-        break;
-      case PhaseAction::kGhostUpdate8:
-      case PhaseAction::kGhostUpdate16:
-        append_ghost_update(schedule, sub, phase.ghost_bytes(), phase.number);
-        break;
-      case PhaseAction::kComputationOnly:
-        break;
-    }
-
-    // The global reductions separating phases (Table 1 sync points).
-    for (double size : phase.sync_sizes) {
-      schedule.push_back(sim::Op::allreduce(size));
-    }
-    // All ranks leave the final allreduce at the same simulated time,
-    // so this marker is a globally consistent phase boundary.
-    schedule.push_back(sim::Op::record(phase.number - 1));
-  }
-  util::require_internal(schedule.size() == per_iteration,
-                         "iteration op count drifted from the builder");
-
-  // Later iterations differ from the first only in their compute draws
-  // and record slots: copy iteration 0, then redraw each compute op in
-  // phase order (the stream's order above) and shift each slot.
-  for (std::int32_t iter = 1; iter < options_.iterations; ++iter) {
-    std::size_t phase = 0;
-    for (std::size_t pos = 0; pos < per_iteration; ++pos) {
-      sim::Op op = schedule[pos];
-      if (op.kind == sim::OpKind::kCompute) {
-        if (options_.enable_noise) {
-          op.payload = compute_time(iteration_phases()[phase]);
-        }
-        ++phase;
-      } else if (op.kind == sim::OpKind::kRecord) {
-        op.label += iter * kPhaseCount;
-      }
-      schedule.push_back(op);
-    }
-  }
+  sim::Op op;
+  while (generator.advance(cursor, op)) schedule.push_back(op);
   return schedule;
 }
 
-SimKrakResult SimKrak::run() const {
+SimKrak::Replay SimKrak::make_replay() const {
   const std::int32_t ranks = partition_.parts();
   sim::SimConfig sim_config;
   sim_config.threads = options_.sim_threads;
-  sim::Simulator simulator(ranks, machine_.network, sim_config);
+  Replay replay{nullptr, sim::Simulator(ranks, machine_.network, sim_config)};
+  sim::Simulator& simulator = replay.simulator;
   if (options_.nic_contention && machine_.pes_per_node > 1) {
     sim::NicConfig nic;
     nic.enabled = true;
@@ -265,28 +303,22 @@ SimKrakResult SimKrak::run() const {
   // A non-empty fault plan installs the injection engine and arms the
   // watchdog; an empty plan leaves the simulator untouched so the run
   // is bit-identical to one without the fault subsystem.
-  std::unique_ptr<fault::InjectionEngine> injector;
   if (!options_.faults.empty()) {
-    injector = std::make_unique<fault::InjectionEngine>(options_.faults, ranks,
-                                                        kPhaseCount);
-    simulator.set_fault_injector(injector.get());
-    simulator.set_watchdog(injector->watchdog());
+    replay.injector = std::make_unique<fault::InjectionEngine>(
+        options_.faults, ranks, kPhaseCount);
+    simulator.set_fault_injector(replay.injector.get());
+    simulator.set_watchdog(replay.injector->watchdog());
   }
   if (options_.cancel != nullptr) simulator.set_cancellation(options_.cancel);
-  const util::Stopwatch build_watch;
-  std::int64_t ops = 0;
-  for (partition::PeId pe = 0; pe < ranks; ++pe) {
-    sim::Schedule schedule = build_schedule(pe);
-    ops += static_cast<std::int64_t>(schedule.size());
-    simulator.set_schedule(pe, std::move(schedule));
-  }
-  if (obs::enabled()) {
-    obs::Registry& registry = obs::global_registry();
-    registry.timer("simapp.schedule_build.seconds")
-        .record(build_watch.seconds());
-    registry.counter("sim.schedule.ops").add(ops);
-  }
-  sim::SimResult sim_result = simulator.run();
+  return replay;
+}
+
+SimKrakResult SimKrak::run() const {
+  const std::int32_t ranks = partition_.parts();
+  Replay replay = make_replay();
+  Generator generator(*this);
+  replay.simulator.set_op_source(&generator);
+  sim::SimResult sim_result = replay.simulator.run();
 
   SimKrakResult result;
   result.ranks = ranks;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "mesh/deck.hpp"
 #include "network/machine.hpp"
@@ -13,6 +14,7 @@
 #include "sim/simulator.hpp"
 #include "simapp/costmodel.hpp"
 #include "simapp/phases.hpp"
+#include "util/rng.hpp"
 
 namespace krak::simapp {
 
@@ -118,31 +120,78 @@ class SimKrak {
           std::shared_ptr<const partition::PartitionStats> stats,
           SimKrakOptions options);
 
-  /// Run the simulation and aggregate timing results.
+  /// Run the simulation and aggregate timing results. The engine reads
+  /// every rank's ops from a Generator; no schedule is ever stored.
   [[nodiscard]] SimKrakResult run() const;
 
-  /// The per-PE subgrid statistics the schedules were built from.
+  /// The per-PE subgrid statistics the op streams expand.
   [[nodiscard]] const partition::PartitionStats& stats() const {
     return *stats_;
   }
 
-  /// The op stream run() installs for `pe`: all iterations, in order.
-  /// Public so tests can pin it (tests/simapp/simkrak_replay_test.cpp).
+  /// SimKrak's op source: expands the shared 15-phase iteration
+  /// template (Table 1) on demand from each PE's SubdomainInfo — its
+  /// neighbour and material lists — drawing compute times from the
+  /// rank's own noise stream (`rank_seed(noise_seed, pe)`) in phase
+  /// order. Per rank it keeps only a Cursor; producing an op allocates
+  /// nothing. Streams are independent, so each shard of the parallel
+  /// engine generates its own ranks' ops on its own worker.
+  class Generator final : public sim::OpSource {
+   public:
+    /// One rank's position in its stream: plain data, no heap.
+    struct Cursor {
+      util::Rng rng;  ///< the rank's noise stream
+      partition::PeId pe = 0;
+      std::int32_t iteration = 0;
+      std::uint32_t neighbor = 0;  ///< within a point-to-point piece
+      std::uint16_t piece = 0;     ///< index into the iteration template
+      std::uint8_t step = 0;       ///< boundary-exchange step
+      std::uint8_t message = 0;    ///< message within the step
+    };
+
+    /// `app` must outlive the generator.
+    explicit Generator(const SimKrak& app) : app_(app) {}
+
+    void on_run_start(std::int32_t ranks) override;
+    bool next(sim::RankId rank, sim::Op& op) override {
+      return advance(cursors_[static_cast<std::size_t>(rank)], op);
+    }
+
+    /// The cursor at the first op of `pe`'s stream.
+    [[nodiscard]] Cursor start(partition::PeId pe) const;
+    /// Write the op at `cursor` and step past it; false once the stream
+    /// is done.
+    bool advance(Cursor& cursor, sim::Op& op) const;
+
+   private:
+    const SimKrak& app_;
+    std::vector<Cursor> cursors_;
+  };
+
+  /// A simulator configured the way run() replays this partition —
+  /// network, hierarchy, shared NIC, shard threads, fault plan and
+  /// cancellation — with no op source installed. `injector` is the
+  /// fault plan's engine (null for an empty plan); the simulator
+  /// points into it, so keep the two together.
+  struct Replay {
+    std::unique_ptr<fault::InjectionEngine> injector;
+    sim::Simulator simulator;
+  };
+  [[nodiscard]] Replay make_replay() const;
+
+  /// The op stream run() reads for `pe`, drained from a Generator into
+  /// an explicit schedule: all iterations, in order. Public so tests
+  /// can pin it (tests/simapp/simkrak_replay_test.cpp) and replay it
+  /// through Simulator::set_schedule.
   [[nodiscard]] sim::Schedule build_schedule(partition::PeId pe) const;
 
  private:
-  void append_boundary_exchange(sim::Schedule& schedule,
-                                const partition::SubdomainInfo& sub) const;
-  void append_ghost_update(sim::Schedule& schedule,
-                           const partition::SubdomainInfo& sub,
-                           double bytes_per_node, std::int32_t phase) const;
-  [[nodiscard]] static std::size_t boundary_exchange_op_count(
-      const partition::SubdomainInfo& sub);
-  [[nodiscard]] static std::size_t ghost_update_op_count(
-      const partition::SubdomainInfo& sub);
-  /// Exact number of ops one iteration appends for this subdomain.
-  [[nodiscard]] static std::size_t iteration_op_count(
-      const partition::SubdomainInfo& sub);
+  /// One phase's compute time on `sub`: a noisy "measurement" of the
+  /// ground truth (one draw from `rng` when noise is on), scaled by the
+  /// machine's compute speed.
+  [[nodiscard]] double compute_time(std::int32_t phase,
+                                    const partition::SubdomainInfo& sub,
+                                    util::Rng& rng) const;
 
   const mesh::InputDeck& deck_;
   // Stored by value: callers routinely pass freshly built partitions as

@@ -737,6 +737,34 @@ TEST(SimulatorParallel, CollectiveStateWindowStaysBounded) {
   obs::set_enabled(was_enabled);
 }
 
+TEST(SimulatorParallel, BarrierWaitSplitsIntoUnscheduledAndImbalance) {
+  // sim.parallel.barrier_wait_s sums, over shards and epochs, the epoch
+  // wall each shard's window did not occupy; the two timers split it by
+  // cause. Resetting them first makes one run's records their totals.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Registry& registry = obs::global_registry();
+  obs::Timer& unscheduled = registry.timer("sim.parallel.unscheduled_s");
+  obs::Timer& imbalance = registry.timer("sim.parallel.imbalance_s");
+  obs::Gauge& barrier_wait = registry.gauge("sim.parallel.barrier_wait_s");
+  for (std::int32_t threads : {2, 8}) {
+    SCOPED_TRACE(threads);
+    unscheduled.reset();
+    imbalance.reset();
+    const std::int32_t ranks = 32;
+    Simulator sim = make_simulator(ranks, threads);
+    install_ring_workload(sim, ranks, /*rounds=*/10);
+    (void)sim.run();
+    EXPECT_EQ(unscheduled.count(), 1);
+    EXPECT_EQ(imbalance.count(), 1);
+    EXPECT_GE(unscheduled.total_seconds(), 0.0);
+    EXPECT_GE(imbalance.total_seconds(), 0.0);
+    EXPECT_EQ(unscheduled.total_seconds() + imbalance.total_seconds(),
+              barrier_wait.value());
+  }
+  obs::set_enabled(was_enabled);
+}
+
 TEST(SimulatorParallel, CoordinatorTimingFieldsPopulated) {
   // The Amdahl decomposition of the epoch barrier: the parallel engine
   // reports its serial-coordinator, worker-sort, and barrier-apply

@@ -3,8 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fault/plan.hpp"
+#include "mesh/deck.hpp"
+#include "network/machine.hpp"
 #include "network/msgmodel.hpp"
+#include "partition/partition.hpp"
 #include "sim/simulator.hpp"
+#include "simapp/simkrak.hpp"
 #include "util/rng.hpp"
 
 namespace krak::sim {
@@ -124,6 +129,75 @@ TEST(SimulatorProperties, CollectiveCountIndependentOfEntryOrder) {
     EXPECT_DOUBLE_EQ(result.records[0].at(0), result.records[1].at(0));
     EXPECT_DOUBLE_EQ(result.records[1].at(0), result.records[2].at(0));
     EXPECT_GE(result.records[0].at(0), 1.0);
+  }
+}
+
+TEST(SimulatorProperties, ScalingComputeOnZeroCostNetworkScalesMakespan) {
+  // With free messages, collectives and host overheads every simulated
+  // time is a max-plus combination of compute durations, so doubling
+  // every compute op doubles the makespan — exactly, since scaling by 2
+  // commutes with rounding. Holds for the oracle and the sharded engine.
+  const std::int32_t ranks = 12;
+  SimConfig config;
+  config.send_overhead = 0.0;
+  config.recv_overhead = 0.0;
+  const auto run_with = [&](double factor, std::int32_t threads) {
+    config.threads = threads;
+    Simulator sim(ranks, network::MessageCostModel{}, config);
+    util::Rng rng(21);
+    for (RankId r = 0; r < ranks; ++r) {
+      util::Rng rank_rng = rng.split();
+      Schedule schedule = ring_schedule(r, ranks, rank_rng);
+      for (Op& op : schedule) {
+        if (op.kind == OpKind::kCompute) op.payload *= factor;
+      }
+      sim.set_schedule(r, std::move(schedule));
+    }
+    return sim.run();
+  };
+  for (std::int32_t threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    const SimResult base = run_with(1.0, threads);
+    const SimResult doubled = run_with(2.0, threads);
+    EXPECT_GT(base.makespan, 0.0);
+    EXPECT_EQ(doubled.makespan, 2.0 * base.makespan);
+    for (std::size_t r = 0; r < base.finish_times.size(); ++r) {
+      EXPECT_EQ(doubled.finish_times[r], 2.0 * base.finish_times[r]);
+    }
+  }
+}
+
+TEST(SimulatorProperties, OneOffDelayNeverLowersSimKrakMakespan) {
+  // A delay injected into one rank can only hold its successors back:
+  // it propagates through the receives and reductions behind it, but
+  // never lets anything finish earlier (Afzal et al., PAPERS.md).
+  const mesh::InputDeck deck =
+      mesh::make_standard_deck(mesh::DeckSize::kSmall);
+  const network::MachineConfig machine = network::make_es45_qsnet();
+  const simapp::ComputationCostEngine engine;
+  const partition::Partition part = partition::partition_deck(
+      deck, 16, partition::PartitionMethod::kMultilevel, 1);
+  simapp::SimKrakOptions options;
+  options.iterations = 2;
+  const double base =
+      simapp::SimKrak(deck, part, machine, engine, options).run().total_time;
+  for (std::int32_t rank : {0, 7, 15}) {
+    for (std::int32_t phase : {1, 2, 5, 15}) {
+      for (double seconds : {1e-7, 1e-4}) {
+        simapp::SimKrakOptions delayed = options;
+        fault::OneOffDelay delay;
+        delay.rank = rank;
+        delay.phase = phase;
+        delay.iteration = 1;
+        delay.seconds = seconds;
+        delayed.faults.delays.push_back(delay);
+        const simapp::SimKrakResult result =
+            simapp::SimKrak(deck, part, machine, engine, delayed).run();
+        ASSERT_FALSE(result.failed());
+        EXPECT_GE(result.total_time, base)
+            << "rank " << rank << " phase " << phase << " delay " << seconds;
+      }
+    }
   }
 }
 

@@ -271,6 +271,81 @@ TEST(Simulator, RunIsRepeatable) {
             b.traffic.point_to_point_messages);
 }
 
+/// An op source that serves fixed streams and counts how it is read.
+class CountingSource final : public OpSource {
+ public:
+  explicit CountingSource(std::vector<Schedule> streams)
+      : streams_(std::move(streams)), reads_(streams_.size(), 0) {}
+  void on_run_start(std::int32_t ranks) override {
+    ASSERT_EQ(static_cast<std::size_t>(ranks), streams_.size());
+    ++starts_;
+    cursors_.assign(streams_.size(), 0);
+  }
+  bool next(RankId rank, Op& op) override {
+    const auto r = static_cast<std::size_t>(rank);
+    ++reads_[r];
+    if (cursors_[r] == streams_[r].size()) return false;
+    op = streams_[r][cursors_[r]++];
+    return true;
+  }
+  [[nodiscard]] int starts() const { return starts_; }
+  [[nodiscard]] std::size_t reads(RankId rank) const {
+    return reads_[static_cast<std::size_t>(rank)];
+  }
+
+ private:
+  std::vector<Schedule> streams_;
+  std::vector<std::size_t> cursors_;
+  std::vector<std::size_t> reads_;
+  int starts_ = 0;
+};
+
+TEST(Simulator, OpSourceIsReadOnceInStreamOrder) {
+  const std::vector<Schedule> streams = {
+      {Op::compute(1.0), Op::isend(1, 100.0, 1), Op::allreduce(4.0),
+       Op::record(0)},
+      {Op::recv(0, 100.0, 1), Op::allreduce(4.0), Op::record(0)},
+  };
+  CountingSource source(streams);
+  Simulator generated = make_simulator(2);
+  generated.set_op_source(&source);
+  const SimResult a = generated.run();
+  EXPECT_EQ(source.starts(), 1);
+  // Every op once, plus the one read that found the stream done — even
+  // for rank 1, which blocked on its recv and its allreduce.
+  EXPECT_EQ(source.reads(0), streams[0].size() + 1);
+  EXPECT_EQ(source.reads(1), streams[1].size() + 1);
+
+  Simulator stored = make_simulator(2);
+  stored.set_schedule(0, streams[0]);
+  stored.set_schedule(1, streams[1]);
+  const SimResult b = stored.run();
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.finish_times, b.finish_times);
+  EXPECT_EQ(a.records, b.records);
+
+  // Clearing the source reverts to the explicit schedules (none here).
+  generated.set_op_source(nullptr);
+  EXPECT_EQ(generated.run().makespan, 0.0);
+  EXPECT_EQ(source.starts(), 1);
+}
+
+TEST(Simulator, OpSourceDeadlockNamesTheBlockingOp) {
+  // The engine holds the op a rank blocked on, so the diagnosis names
+  // it without looking back into any stored schedule.
+  CountingSource source({{Op::compute(1.0), Op::recv(1, 8.0, 5)}, {}});
+  Simulator sim = make_simulator(2);
+  sim.set_op_source(&source);
+  try {
+    (void)sim.run();
+    FAIL() << "expected a deadlock";
+  } catch (const util::KrakError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "simulation deadlock: rank 0 blocked at op 1 (recv, peer 1, "
+              "tag 5)");
+  }
+}
+
 /// A 2-rank exchange of `messages` point-to-point round trips; every
 /// arrival is its own event, so the run fires well over `messages`
 /// events in total.

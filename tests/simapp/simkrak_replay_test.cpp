@@ -15,13 +15,14 @@
 namespace krak::simapp {
 namespace {
 
-// Golden contract of the schedule builder: every rank's op stream —
-// kind, payload bits, peer, tag/slot of every op, in order — hashes to
-// a pinned digest. The digests were recorded from the two builders this
-// one replaced (a per-iteration rebuild and an iteration-template
-// replay, which agreed on every value below), so a builder change that
-// moves one ulp of one noise draw, reorders a message or shifts a
-// record slot fails here before it can move a simulated time.
+// Golden contract of SimKrak's op generator: every rank's op stream —
+// kind, payload bits, peer, tag/slot of every op, in order, drained
+// through SimKrak::build_schedule — hashes to a pinned digest. The
+// digests were recorded from the stored-schedule builders the generator
+// replaced (a per-iteration rebuild and an iteration-template replay,
+// which agreed on every value below), so a change that moves one ulp of
+// one noise draw, reorders a message or shifts a record slot fails here
+// before it can move a simulated time.
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
